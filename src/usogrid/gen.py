@@ -122,14 +122,13 @@ def pad_values_to_square(
 ) -> ValueMatrix:
     """Append dominated rows or columns until the matrix is square.
 
-    New entries are all strictly larger than every original entry and are
-    separable among themselves (base + R*i + j), so subgrids touching the
+    The original entries are replaced by their ranks 0 .. m*n-1, which keeps
+    every row and column order and leaves the padding exact for any finite
+    input.  New entries are all strictly larger than every rank and are
+    separable among themselves (m*n + R*i + j), so subgrids touching the
     original rows keep their original sink while all-new subgrids get a
     lexicographic-argmin sink.  USO validity, the sink position and every
     original edge direction are preserved.
-
-    Assumes moderate value magnitudes: the padding offsets must stay exactly
-    representable above ``max(values)``.
     """
     m, n = vm.values.shape
     if validate:
@@ -139,10 +138,10 @@ def pad_values_to_square(
     if m == n:
         return vm
     s = max(m, n)
-    base = float(np.max(vm.values)) + 1.0
+    base = float(m * n)
     scale = float(s + 1)
     padded = np.empty((s, s), dtype=np.float64)
-    padded[:m, :n] = vm.values
+    padded[:m, :n] = np.argsort(np.argsort(vm.values, axis=None)).reshape(m, n)
     for i in range(s):
         for j in range(s):
             if i >= m or j >= n:

@@ -197,7 +197,7 @@ class OrientedGrid:
 
     @classmethod
     def from_edge_word(cls, m: int, n: int, word: int) -> "OrientedGrid":
-        """Decode a kernel edge word (see :mod:`usogrid.kernels.pure`)."""
+        """Decode a kernel edge word (see :mod:`usogrid.kernels`)."""
         return cls._from_out_masks(
             GridShape(m, n), kernels.word_to_out_masks(m, n, word)
         )

@@ -1,9 +1,7 @@
-"""Pure-Python kernels for subgrid validation and exhaustive USO enumeration.
+"""The hot loops: subgrid validation and exhaustive USO enumeration.
 
-This module is the reference implementation; the optional compiled extension
-(:mod:`usogrid.kernels._ckernel`) must match it bit for bit.
-
-Conventions shared by both implementations:
+Pure Python over unbounded integer bitmasks, so no grid size is too wide
+for a mask.  Conventions:
 
 * Vertex (i, j) of an (m, n) grid has index ``v = i*n + j``.  An orientation
   is a sequence of ``m*n`` bitmasks where bit w of ``out[v]`` is set iff the
@@ -23,8 +21,14 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import Sequence
 
 Vertex = tuple[int, int]
+
+
+def implementation() -> str:
+    """Name of the kernel implementation, recorded by benchmark runs."""
+    return "pure"
 
 
 def edge_count(m: int, n: int) -> int:
@@ -81,7 +85,7 @@ def _col_selectors(m: int, n: int) -> list[int]:
 
 
 def find_violation(
-    m: int, n: int, out_masks: list[int]
+    m: int, n: int, out_masks: Sequence[int]
 ) -> tuple[int, int, int] | None:
     """Scan every nonempty subgrid for the unique-sink property.
 

@@ -220,13 +220,13 @@ def diagonal_solve(oracle, n: int) -> tuple[Vertex, QueryCounter]:
     return rectangular_solve(oracle, n, n)
 
 
-def walk_solve(oracle) -> tuple[Vertex, QueryCounter]:
-    """Baseline: from (0, 0) follow the lowest-indexed outgoing neighbour.
+def _walk(oracle, start, step) -> tuple:
+    """Follow ``step(outgoing)`` from ``start`` to a vertex without outgoing edges.
 
-    Acyclicity of planar grid USOs guarantees termination within one query
-    per vertex; a revisit proves the oracle is not a USO.
+    Acyclicity of grid USOs guarantees termination within one query per
+    vertex; a revisit proves the oracle is not a USO.
     """
-    v: Vertex = (0, 0)
+    v = start
     seen = set()
     while True:
         if v in seen:
@@ -234,23 +234,20 @@ def walk_solve(oracle) -> tuple[Vertex, QueryCounter]:
         seen.add(v)
         answer = oracle.query(v)
         if not answer.outgoing:
-            return v, oracle.counter.snapshot()
-        v = min(answer.outgoing)
+            return v
+        v = step(answer.outgoing)
+
+
+def walk_solve(oracle) -> tuple[Vertex, QueryCounter]:
+    """Baseline: from (0, 0) follow the lowest-indexed outgoing neighbour."""
+    return _walk(oracle, (0, 0), min), oracle.counter.snapshot()
 
 
 def random_edge_solve(oracle, seed: int) -> tuple[Vertex, QueryCounter]:
     """Baseline: from (0, 0) walk to a uniformly random outgoing neighbour."""
     rng = random.Random(seed)
-    v: Vertex = (0, 0)
-    seen = set()
-    while True:
-        if v in seen:
-            raise NotUsoError(f"walk revisited {v}: the orientation has a cycle")
-        seen.add(v)
-        answer = oracle.query(v)
-        if not answer.outgoing:
-            return v, oracle.counter.snapshot()
-        v = rng.choice(sorted(answer.outgoing))
+    sink = _walk(oracle, (0, 0), lambda outgoing: rng.choice(sorted(outgoing)))
+    return sink, oracle.counter.snapshot()
 
 
 def k_schedule(n: int) -> int:
@@ -261,11 +258,10 @@ def k_schedule(n: int) -> int:
 
 @dataclass(frozen=True)
 class KSchedule:
-    """Divide-and-conquer tuning: branching factor, base size, bound constant."""
+    """Divide-and-conquer tuning: branching factor and base-case size."""
 
     branching: Callable[[int], int] = k_schedule
     base_threshold: int = 8
-    analysis_constant: int = 8
 
     def k(self, n: int) -> int:
         return max(2, min(self.branching(n), (n + 1) // 2))
@@ -325,8 +321,8 @@ def dc_edge_solve(
     below the base threshold every edge is queried; above it, rows and
     columns are cut into k near-equal contiguous blocks and the square
     vertex-query solver runs on the induced block grid, with this solver as
-    the per-block recursion.  Counts stay within
-    analysis_constant * n * 2^(2*sqrt(log2 n)) base edge queries.
+    the per-block recursion.  Counts stay within :func:`dc_edge_bound`,
+    8 * n * 2^(2*sqrt(log2 n)) base edge queries.
     """
     if (m, n) != (oracle.shape.rows, oracle.shape.cols):
         raise GridError(
@@ -344,12 +340,7 @@ def _ddim_sink(oracle, dims: tuple[int, ...]):
         oracle.query(())
         return ()
     if len(dims) == 1:
-        v = (0,)
-        while True:
-            answer = oracle.query(v)
-            if not answer.outgoing:
-                return v
-            v = min(answer.outgoing)
+        return _walk(oracle, (0,), min)
     inherited = InheritedVertexOracle(
         oracle,
         (0, 1),

@@ -2,9 +2,9 @@ import pytest
 
 from usogrid.grid import GridShape, OrientedGrid
 
-#: USO counts per shape, frozen from exhaustive enumeration (both kernel
-#: implementations agree); 2x2 = 12 is also forced analytically: of the 16
-#: orientations, 2 are directed 4-cycles and 2 have two sinks.
+#: USO counts per shape, frozen from exhaustive enumeration; 2x2 = 12 is
+#: also forced analytically: of the 16 orientations, 2 are directed 4-cycles
+#: and 2 have two sinks.
 USO_COUNTS = {
     (1, 1): 1,
     (1, 2): 2,

@@ -22,6 +22,7 @@ from usogrid import (
     pad_values_to_square,
     validate_uso,
 )
+from usogrid import kernels
 from usogrid.dgrid import validate_uso_ddim
 
 from conftest import USO_COUNTS
@@ -107,18 +108,16 @@ class TestEnumeration:
         for g in grids:
             assert validate_uso(g) is None
 
-    def test_enumeration_agrees_with_validator(self):
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3), (3, 1), (2, 3), (3, 2)],
+                             ids=lambda shape: f"{shape[0]}x{shape[1]}")
+    def test_enumeration_agrees_with_validator(self, shape):
         # the two independent paths: direct validation of all 2^E words
-        # versus the pruned enumerator
-        m, n = 2, 2
-        accepted = {
-            w
-            for w in range(16)
-            if validate_uso(OrientedGrid.from_edge_word(m, n, w)) is None
-        }
-        enumerated = {w for w in range(16)
-                      if OrientedGrid.from_edge_word(m, n, w) in set(enumerate_usos((m, n)))}
-        assert accepted == enumerated
+        # versus the enumerator's acyclic-tournament product
+        m, n = shape
+        grids = [OrientedGrid.from_edge_word(m, n, w)
+                 for w in range(1 << kernels.edge_count(m, n))]
+        accepted = [g for g in grids if validate_uso(g) is None]
+        assert list(enumerate_usos(shape)) == accepted
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -142,18 +141,32 @@ class TestPadding:
         with pytest.raises(NotUsoError):
             pad_values_to_square(ValueMatrix([[1, 3], [4, 2], [5, 6]]))
 
+    @staticmethod
+    def _check_padding(vm):
+        m, n = vm.values.shape
+        padded = pad_values_to_square(vm)
+        s = max(m, n)
+        assert padded.values.shape == (s, s)
+        g_orig = orient_from_values(vm)
+        g_pad = orient_from_values(padded)
+        assert validate_uso(g_pad) is None
+        assert brute_force_sink(g_pad) == brute_force_sink(g_orig)
+        assert g_pad.restrict(range(m), range(n)) == g_orig
+
     @pytest.mark.parametrize("m,n", [(3, 5), (5, 3), (1, 6), (4, 2)])
     def test_preserves_uso_sink_and_edges(self, m, n):
         for seed in range(20):
-            vm = gen_one_line(m, n, seed)
-            padded = pad_values_to_square(vm)
-            s = max(m, n)
-            assert padded.values.shape == (s, s)
-            g_orig = orient_from_values(vm)
-            g_pad = orient_from_values(padded)
-            assert validate_uso(g_pad) is None
-            assert brute_force_sink(g_pad) == brute_force_sink(g_orig)
-            assert g_pad.restrict(range(m), range(n)) == g_orig
+            self._check_padding(gen_one_line(m, n, seed))
+
+    @pytest.mark.parametrize("values", [
+        [[1e17, 0.0, 5.0]],
+        [[2.0**53, 0.0, 1.0]],
+        [[1.7e308, -1.7e308, 0.0]],
+    ], ids=["1e17", "2^53", "1.7e308"])
+    def test_large_finite_values(self, values):
+        # padding offsets above max(values) would round at these magnitudes
+        self._check_padding(ValueMatrix(values))
+        self._check_padding(ValueMatrix(np.transpose(values)))
 
 
 class TestSeparableDdim:

@@ -1,11 +1,13 @@
 """Elimination bookkeeping, the solvers, and their query bounds."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from usogrid import (
+    GridError,
     NotUsoError,
     ValueMatrix,
     adversary_vertex_oracle,
@@ -15,10 +17,12 @@ from usogrid import (
     enumerate_usos,
     gen_one_line,
     gen_separable_ddim,
+    kernels,
     orient_from_values,
     vertex_oracle,
 )
-from usogrid.dgrid import brute_force_sink_ddim
+from usogrid.dgrid import DOrientedGrid, brute_force_sink_ddim, ddim_edge_count
+from usogrid.grid import OrientedGrid
 from usogrid.solvers import (
     DEFAULT_SCHEDULE,
     EliminationState,
@@ -337,3 +341,100 @@ class TestBaselines:
             random_edge_solve(o, seed=seed)
             queried = [r[1] for r in o.transcript]
             assert len(queried) == len(set(queried))
+
+
+class _QueryBudget:
+    """Oracle proxy that fails after ``limit`` query calls, cache hits
+    included, so a solver looping on cached answers fails instead of hanging."""
+
+    def __init__(self, oracle, limit: int):
+        self._oracle = oracle
+        self._left = limit
+
+    def __getattr__(self, name):
+        return getattr(self._oracle, name)
+
+    def _spend(self):
+        self._left -= 1
+        if self._left < 0:
+            raise AssertionError("query budget exhausted: the solver does not terminate")
+
+    def query(self, v):
+        self._spend()
+        return self._oracle.query(v)
+
+    def query_edge(self, u, w):
+        self._spend()
+        return self._oracle.query_edge(u, w)
+
+
+def _check_terminates(solve, oracle, is_sink, vertices: int, distinct_cap: int):
+    """The solver returns a vertex without out-neighbours or raises a
+    GridError, within 4 query calls per vertex and ``distinct_cap``
+    distinct queries."""
+    try:
+        sink, _ = solve(_QueryBudget(oracle, 4 * vertices))
+    except GridError:
+        pass
+    else:
+        assert is_sink(sink)
+    counter = oracle.counter
+    assert counter.vertex_queries + counter.edge_queries <= distinct_cap
+
+
+def _check_planar(g: OrientedGrid):
+    m, n = g.shape.rows, g.shape.cols
+    vertices, edges = m * n, kernels.edge_count(m, n)
+    vertex_solvers = [
+        lambda o: rectangular_solve(o, m, n),
+        walk_solve,
+        lambda o: random_edge_solve(o, seed=0),
+    ]
+    if m == n:
+        vertex_solvers.append(lambda o: diagonal_solve(o, n))
+    edge_solvers = [
+        lambda o: dc_edge_solve(o, m, n),
+        lambda o: dc_edge_solve(o, m, n, KSchedule(base_threshold=1)),
+    ]
+    for solve in vertex_solvers:
+        _check_terminates(solve, vertex_oracle(g, record=False), g.is_sink,
+                          vertices, vertices)
+    for solve in edge_solvers:
+        _check_terminates(solve, edge_oracle(g, record=False), g.is_sink,
+                          vertices, edges)
+
+
+def _check_ddim(g: DOrientedGrid):
+    _check_terminates(lambda o: ddim_solve(o, g.dims),
+                      ddim_vertex_oracle(g, record=False),
+                      lambda v: not g.out_neighbors(v),
+                      g.vertex_count, g.vertex_count)
+
+
+class TestTermination:
+    """Every solver, on every input including non-USOs, returns a vertex
+    without out-neighbours or raises a typed error."""
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_planar_all_orientations(self, shape):
+        m, n = shape
+        for word in range(1 << kernels.edge_count(m, n)):
+            _check_planar(OrientedGrid.from_edge_word(m, n, word))
+
+    def test_planar_sampled_3x3(self):
+        rng = random.Random(11)
+        bits = kernels.edge_count(3, 3)
+        for _ in range(300):
+            _check_planar(OrientedGrid.from_edge_word(3, 3, rng.getrandbits(bits)))
+
+    @pytest.mark.parametrize("dims", [(3,), (4,)])
+    def test_ddim_all_line_orientations(self, dims):
+        for word in range(1 << ddim_edge_count(dims)):
+            _check_ddim(DOrientedGrid.from_edge_word(dims, word))
+
+    def test_ddim_sampled_2x2x3(self):
+        dims = (2, 2, 3)
+        rng = random.Random(13)
+        bits = ddim_edge_count(dims)
+        for _ in range(300):
+            _check_ddim(DOrientedGrid.from_edge_word(dims, rng.getrandbits(bits)))
