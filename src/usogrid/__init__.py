@@ -50,7 +50,6 @@ from .oracles import (
     QueryCounter,
     VertexAnswer,
     adversary_vertex_oracle,
-    ddim_vertex_oracle,
     edge_oracle,
     induced_vertex_oracle,
     inherited_vertex_oracle,

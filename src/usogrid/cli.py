@@ -13,18 +13,13 @@ import json
 import sys
 import time
 
-from . import gen, serialize, solvers
-from .dgrid import brute_force_sink_ddim, validate_uso_ddim
-from .errors import CapExceededError, GridError
-from .grid import brute_force_sink, validate_uso
-from .oracles import (
-    adversary_vertex_oracle,
-    ddim_vertex_oracle,
-    edge_oracle,
-    replay_transcript,
-    vertex_oracle,
-)
-from .report import ALG_QUERY_KIND, CSV_HEADER, RunReport
+from . import gen, serialize
+from .dgrid import validate_uso_ddim
+from .errors import CapExceededError
+from .grid import OrientedGrid, validate_uso
+from .oracles import adversary_vertex_oracle, edge_oracle, replay_transcript, vertex_oracle
+from .report import CSV_HEADER, RunReport
+from .solvers import ALGORITHMS
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -69,24 +64,28 @@ def _cmd_gen(args, parser) -> int:
     else:  # enumerate-index: the seed doubles as the index
         m, n = _parse_shape(args.shape, parser)
         try:
-            grids = list(gen.enumerate_usos((m, n)))
+            words = gen.uso_words((m, n))
         except CapExceededError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CAP
-        if not 0 <= args.seed < len(grids):
+        if not 0 <= args.seed < len(words):
             parser.error(
-                f"index {args.seed} out of range: {m}x{n} has {len(grids)} USOs"
+                f"index {args.seed} out of range: {m}x{n} has {len(words)} USOs"
             )
-        doc = serialize.grid_to_json(grids[args.seed])
+        doc = serialize.grid_to_json(OrientedGrid.from_edge_word(m, n, words[args.seed]))
     _emit(doc, args.out)
     return EXIT_OK
 
 
-def _cmd_validate(args, parser) -> int:
+def _load_file(path: str, parser) -> serialize.GridDoc:
     try:
-        doc = serialize.load_grid_file(args.grid)
-    except (GridError, OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot load {args.grid}: {exc}")
+        return serialize.load_grid_file(path)
+    except (OSError, ValueError) as exc:  # GridError and JSON/UTF-8 decoding
+        parser.error(f"cannot load {path}: {exc}")
+
+
+def _cmd_validate(args, parser) -> int:
+    doc = _load_file(args.grid, parser)
     try:
         if doc.is_ddim:
             violation = validate_uso_ddim(doc.grid, max_subgrids=args.max_subgrids)
@@ -137,65 +136,32 @@ def _cmd_enumerate(args, parser) -> int:
 
 def _load_instance(args, parser) -> serialize.GridDoc:
     if args.grid:
-        try:
-            return serialize.load_grid_file(args.grid)
-        except (GridError, OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot load {args.grid}: {exc}")
+        return _load_file(args.grid, parser)
     if not args.model or not args.shape:
         parser.error("need either --grid or --model with --shape")
     if args.model == "oneline":
         m, n = _parse_shape(args.shape, parser)
-        vm = gen.gen_one_line(m, n, args.seed)
-        return serialize.GridDoc(gen.orient_from_values(vm), vm)
+        return serialize.GridDoc(gen.gen_one_line(m, n, args.seed))
     if args.model == "separable":
         dims = _parse_shape(args.shape, parser, want_dims=None)
-        return serialize.GridDoc(gen.gen_separable_ddim(dims, args.seed), None)
+        return serialize.GridDoc(gen.gen_separable_ddim(dims, args.seed))
     parser.error(f"model {args.model!r} not usable here")
 
 
-def _solve_once(alg: str, doc: serialize.GridDoc, seed: int | None, parser) -> RunReport:
+def _solve_once(alg: str, doc: serialize.GridDoc, seed: int, parser) -> RunReport:
     start = time.perf_counter()
-    if alg == "ddim":
-        if not doc.is_ddim:
-            parser.error("--alg ddim needs a d-dimensional grid (dims format)")
-        dims = doc.grid.dims
-        sink, counter = solvers.ddim_solve(ddim_vertex_oracle(doc.grid), dims)
-        return RunReport.build(
-            alg, dims, seed, counter, solvers.ddim_bound(dims), sink,
-            expected_sink=brute_force_sink_ddim(doc.grid),
-            wall_time=time.perf_counter() - start,
-        )
-    if doc.is_ddim:
+    if alg == "ddim" and not doc.is_ddim:
+        parser.error("--alg ddim needs a d-dimensional grid (dims format)")
+    if alg != "ddim" and doc.is_ddim:
         parser.error(f"--alg {alg} needs a 2-dimensional grid")
-    shape = doc.grid.shape
-    m, n = shape.rows, shape.cols
-    source = doc.values if doc.values is not None else doc.grid
-    if alg == "dc-edge":
-        oracle = edge_oracle(source, record=False)
-        sink, counter = solvers.dc_edge_solve(oracle, m, n)
-        bound = solvers.dc_edge_bound(m, n)
-    else:
-        oracle = vertex_oracle(source, record=False)
-        if alg == "diagonal":
-            if m != n:
-                parser.error("--alg diagonal needs a square grid")
-            sink, counter = solvers.diagonal_solve(oracle, n)
-            bound = solvers.diagonal_bound(n)
-        elif alg == "rect":
-            sink, counter = solvers.rectangular_solve(oracle, m, n)
-            bound = solvers.rectangular_bound(m, n)
-        elif alg == "walk":
-            sink, counter = solvers.walk_solve(oracle)
-            bound = solvers.exhaustive_bound(m, n)
-        else:  # random-edge
-            sink, counter = solvers.random_edge_solve(oracle, seed or 0)
-            bound = solvers.exhaustive_bound(m, n)
-    expected = (
-        doc.values.argmin_vertex() if doc.values is not None
-        else brute_force_sink(doc.grid)
-    )
+    dims = doc.dims
+    if alg == "diagonal" and dims[0] != dims[1]:
+        parser.error("--alg diagonal needs a square grid")
+    entry = ALGORITHMS[alg]
+    make_oracle = edge_oracle if entry.kind == "edge" else vertex_oracle
+    sink, counter = entry.solve(make_oracle(doc.source, record=False), dims, seed)
     return RunReport.build(
-        alg, (m, n), seed, counter, bound, sink, expected_sink=expected,
+        alg, dims, seed, counter, entry.bound(dims), sink, expected_sink=doc.sink(),
         wall_time=time.perf_counter() - start,
     )
 
@@ -212,16 +178,11 @@ def _cmd_adversary(args, parser) -> int:
     if args.alg == "diagonal" and m != n:
         parser.error("--alg diagonal needs a square shape")
     oracle = adversary_vertex_oracle((m, n))
-    if args.alg == "diagonal":
-        solvers.diagonal_solve(oracle, n)
-    elif args.alg == "rect":
-        solvers.rectangular_solve(oracle, m, n)
-    else:
-        solvers.walk_solve(oracle)
+    ALGORITHMS[args.alg].solve(oracle, (m, n), 0)
     grid = oracle.materialize()
-    if m + n <= 14:
+    try:
         valid = validate_uso(grid) is None
-    else:
+    except CapExceededError:
         valid = "skipped-cap"
     replay_ok = replay_transcript(oracle.transcript, vertex_oracle(grid))
     consistent = replay_ok and valid is not False
@@ -253,8 +214,8 @@ def _cmd_bench(args, parser) -> int:
     reports = []
     for size in sizes:
         for seed in range(args.trials):
-            vm = gen.gen_one_line(size, size, seed)
-            reports.append(_bench_one(args.alg, vm, size, seed))
+            doc = serialize.GridDoc(gen.gen_one_line(size, size, seed))
+            reports.append(_solve_once(args.alg, doc, seed, parser))
     reports.sort(key=lambda r: (r.algorithm, r.shape, r.seed))
     text = CSV_HEADER + "\n" + "".join(r.csv_row() + "\n" for r in reports)
     if args.csv:
@@ -267,32 +228,6 @@ def _cmd_bench(args, parser) -> int:
     if any(not r.bound_ok for r in reports):
         return EXIT_BOUND
     return EXIT_OK
-
-
-def _bench_one(alg: str, vm, size: int, seed: int) -> RunReport:
-    start = time.perf_counter()
-    if alg == "dc-edge":
-        oracle = edge_oracle(vm, record=False)
-        sink, counter = solvers.dc_edge_solve(oracle, size, size)
-        bound = solvers.dc_edge_bound(size, size)
-    else:
-        oracle = vertex_oracle(vm, record=False)
-        if alg == "diagonal":
-            sink, counter = solvers.diagonal_solve(oracle, size)
-            bound = solvers.diagonal_bound(size)
-        elif alg == "rect":
-            sink, counter = solvers.rectangular_solve(oracle, size, size)
-            bound = solvers.rectangular_bound(size, size)
-        elif alg == "walk":
-            sink, counter = solvers.walk_solve(oracle)
-            bound = solvers.exhaustive_bound(size, size)
-        else:
-            sink, counter = solvers.random_edge_solve(oracle, seed)
-            bound = solvers.exhaustive_bound(size, size)
-    return RunReport.build(
-        alg, (size, size), seed, counter, bound, sink,
-        expected_sink=vm.argmin_vertex(), wall_time=time.perf_counter() - start,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="output path (default stdout)")
 
     p = sub.add_parser("solve", help="run a solver and write its run report")
-    p.add_argument("--alg", choices=sorted(ALG_QUERY_KIND), required=True)
+    p.add_argument("--alg", choices=sorted(ALGORITHMS), required=True)
     p.add_argument("--grid", help="grid JSON path")
     p.add_argument("--model", choices=["oneline", "separable"],
                    help="generate the instance instead of loading one")
@@ -337,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="output path (default stdout)")
 
     p = sub.add_parser("bench", help="CSV of query counts over sizes and seeds")
-    p.add_argument("--alg", choices=sorted(a for a in ALG_QUERY_KIND if a != "ddim"),
+    p.add_argument("--alg", choices=sorted(a for a in ALGORITHMS if a != "ddim"),
                    required=True)
     p.add_argument("--sizes", required=True, help="comma-separated square sizes")
     p.add_argument("--trials", type=int, default=10)

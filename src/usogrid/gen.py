@@ -87,11 +87,12 @@ def gen_one_line(m: int, n: int, seed: int) -> ValueMatrix:
     return one_line_instance(m, n, seed).value_matrix()
 
 
-def enumerate_usos(
+def uso_words(
     shape: GridShape | tuple[int, int],
     max_edges: int = DEFAULT_ENUMERATION_EDGES,
-) -> Iterator[OrientedGrid]:
-    """Every USO of the shape, in a deterministic (ascending edge word) order."""
+) -> list[int]:
+    """Edge words (see :meth:`OrientedGrid.from_edge_word`) of every USO of the
+    shape, ascending; raises CapExceededError above ``max_edges`` edges."""
     m, n = (shape.rows, shape.cols) if isinstance(shape, GridShape) else shape
     edges = kernels.edge_count(m, n)
     if edges > max_edges:
@@ -99,7 +100,16 @@ def enumerate_usos(
             f"enumerating a {m}x{n} grid means 2^{edges} orientations, above "
             f"the cap of 2^{max_edges}"
         )
-    for word in kernels.enumerate_uso_words(m, n):
+    return kernels.enumerate_uso_words(m, n)
+
+
+def enumerate_usos(
+    shape: GridShape | tuple[int, int],
+    max_edges: int = DEFAULT_ENUMERATION_EDGES,
+) -> Iterator[OrientedGrid]:
+    """Every USO of the shape, in a deterministic (ascending edge word) order."""
+    m, n = (shape.rows, shape.cols) if isinstance(shape, GridShape) else shape
+    for word in uso_words((m, n), max_edges):
         yield OrientedGrid.from_edge_word(m, n, word)
 
 
@@ -107,14 +117,7 @@ def count_usos(
     shape: GridShape | tuple[int, int],
     max_edges: int = DEFAULT_ENUMERATION_EDGES,
 ) -> int:
-    m, n = (shape.rows, shape.cols) if isinstance(shape, GridShape) else shape
-    edges = kernels.edge_count(m, n)
-    if edges > max_edges:
-        raise CapExceededError(
-            f"enumerating a {m}x{n} grid means 2^{edges} orientations, above "
-            f"the cap of 2^{max_edges}"
-        )
-    return len(kernels.enumerate_uso_words(m, n))
+    return len(uso_words(shape, max_edges))
 
 
 def pad_values_to_square(

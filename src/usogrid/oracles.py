@@ -122,11 +122,15 @@ class ValueVertexOracle(VertexOracle):
         return VertexAnswer(v, frozenset(incoming), frozenset(outgoing))
 
 
-def vertex_oracle(source: OrientedGrid | ValueMatrix, record: bool = True) -> VertexOracle:
+def vertex_oracle(
+    source: OrientedGrid | DOrientedGrid | ValueMatrix, record: bool = True
+) -> VertexOracle:
     if isinstance(source, ValueMatrix):
         return ValueVertexOracle(source, record)
     if isinstance(source, OrientedGrid):
         return ExplicitVertexOracle(source, record)
+    if isinstance(source, DOrientedGrid):
+        return DdimVertexOracle(source, record)
     raise TypeError(f"cannot build a vertex oracle from {type(source).__name__}")
 
 
@@ -523,10 +527,6 @@ class DdimVertexOracle(VertexOracle):
             w for w in self.grid.neighbors(v) if w not in outgoing
         )
         return VertexAnswer(tuple(v), incoming, outgoing)
-
-
-def ddim_vertex_oracle(grid: DOrientedGrid, record: bool = True) -> DdimVertexOracle:
-    return DdimVertexOracle(grid, record)
 
 
 class _FixedAxesView:

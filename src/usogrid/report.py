@@ -5,16 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .oracles import QueryCounter
+from .solvers import ALGORITHMS
 
 #: Which counter each algorithm is judged by.
-ALG_QUERY_KIND = {
-    "diagonal": "vertex",
-    "rect": "vertex",
-    "dc-edge": "edge",
-    "ddim": "vertex",
-    "walk": "vertex",
-    "random-edge": "vertex",
-}
+ALG_QUERY_KIND = {name: alg.kind for name, alg in ALGORITHMS.items()}
 
 CSV_HEADER = "alg,m,n,seed,queries_vertex,queries_edge,bound,bound_ok"
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .dgrid import DOrientedGrid, ddim_edge_list
+from .dgrid import DOrientedGrid, brute_force_sink_ddim, ddim_edge_list
 from .errors import GridError
-from .gen import PointInstance, orient_from_values
-from .grid import Direction, GridShape, OrientedGrid, ValueMatrix
+from .gen import PointInstance
+from .grid import Direction, GridShape, OrientedGrid, ValueMatrix, brute_force_sink
 from .oracles import TranscriptRecord, VertexAnswer
 
 
@@ -55,14 +55,40 @@ def dgrid_to_json(grid: DOrientedGrid) -> dict:
 
 @dataclass(frozen=True)
 class GridDoc:
-    """A loaded grid file: the orientation plus its value matrix if one was given."""
+    """A loaded or generated instance: a value matrix, or an explicit 2-D or
+    d-dimensional orientation.  Solvers query ``source`` directly; only
+    :attr:`grid` expands a value matrix into the explicit O(V^2)-bit grid."""
 
-    grid: OrientedGrid | DOrientedGrid
-    values: ValueMatrix | None
+    source: ValueMatrix | OrientedGrid | DOrientedGrid
 
     @property
     def is_ddim(self) -> bool:
-        return isinstance(self.grid, DOrientedGrid)
+        return isinstance(self.source, DOrientedGrid)
+
+    @property
+    def values(self) -> ValueMatrix | None:
+        return self.source if isinstance(self.source, ValueMatrix) else None
+
+    @property
+    def grid(self) -> OrientedGrid | DOrientedGrid:
+        """The explicit orientation, built anew from a value matrix on each access."""
+        if isinstance(self.source, ValueMatrix):
+            return OrientedGrid.from_values(self.source)
+        return self.source
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        if self.is_ddim:
+            return self.source.dims
+        return (self.source.shape.rows, self.source.shape.cols)
+
+    def sink(self) -> tuple[int, ...]:
+        """The unique sink by full scan (0-based); no oracle accounting."""
+        if isinstance(self.source, ValueMatrix):
+            return self.source.argmin_vertex()
+        if self.is_ddim:
+            return brute_force_sink_ddim(self.source)
+        return brute_force_sink(self.source)
 
 
 def _directed_pairs(edge_objs) -> list[tuple[tuple, tuple]]:
@@ -78,10 +104,22 @@ def _directed_pairs(edge_objs) -> list[tuple[tuple, tuple]]:
 
 
 def load_grid(doc: dict) -> GridDoc:
+    """Parse a grid file's JSON value; anything malformed raises GridError."""
+    if not isinstance(doc, dict):
+        raise GridError("a grid file holds one JSON object")
+    try:
+        return GridDoc(_grid_source(doc))
+    except GridError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GridError(f"malformed grid file: {exc!r}") from exc
+
+
+def _grid_source(doc: dict) -> ValueMatrix | OrientedGrid | DOrientedGrid:
     if "dims" in doc:
         if "edges" not in doc or "values" in doc or "shape" in doc:
             raise GridError('a d-dimensional grid file needs "dims" and "edges" only')
-        return GridDoc(DOrientedGrid(doc["dims"], _directed_pairs(doc["edges"])), None)
+        return DOrientedGrid(doc["dims"], _directed_pairs(doc["edges"]))
     if "shape" not in doc:
         raise GridError('grid file needs a "shape" (or "dims") field')
     m, n = (int(x) for x in doc["shape"])
@@ -93,13 +131,13 @@ def load_grid(doc: dict) -> GridDoc:
         vm = ValueMatrix(doc["values"])
         if vm.values.shape != (m, n):
             raise GridError(f"values are {vm.values.shape}, shape says {(m, n)}")
-        return GridDoc(orient_from_values(vm), vm)
+        return vm
     shape = GridShape(m, n)
     pairs = _directed_pairs(doc["edges"])
     for tail, head in pairs:
         if len(tail) != 2 or len(head) != 2:
             raise GridError("2-dimensional edge endpoints must be [row, col]")
-    return GridDoc(OrientedGrid(shape, pairs), None)
+    return OrientedGrid(shape, pairs)
 
 
 def load_grid_file(path) -> GridDoc:

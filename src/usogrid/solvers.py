@@ -393,3 +393,33 @@ def ddim_bound(dims) -> int:
 
 def exhaustive_bound(m: int, n: int) -> int:
     return m * n
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One CLI algorithm: the query kind its bound judges ("vertex" or
+    "edge"), ``solve(oracle, dims, seed) -> (sink, counter)`` and
+    ``bound(dims) -> int``."""
+
+    kind: str
+    solve: Callable[..., tuple]
+    bound: Callable[[tuple], int]
+
+
+#: Every solver the CLI, the reports and the benches run, by CLI name.  The
+#: entries look the solvers up as module globals when called, so wrappers
+#: installed on this module's functions (tracing) see every call.
+ALGORITHMS = {
+    "diagonal": Algorithm("vertex", lambda o, dims, seed: diagonal_solve(o, dims[1]),
+                          lambda dims: diagonal_bound(dims[1])),
+    "rect": Algorithm("vertex", lambda o, dims, seed: rectangular_solve(o, *dims),
+                      lambda dims: rectangular_bound(*dims)),
+    "dc-edge": Algorithm("edge", lambda o, dims, seed: dc_edge_solve(o, *dims),
+                         lambda dims: dc_edge_bound(*dims)),
+    "ddim": Algorithm("vertex", lambda o, dims, seed: ddim_solve(o, dims),
+                      lambda dims: ddim_bound(dims)),
+    "walk": Algorithm("vertex", lambda o, dims, seed: walk_solve(o),
+                      lambda dims: exhaustive_bound(*dims)),
+    "random-edge": Algorithm("vertex", lambda o, dims, seed: random_edge_solve(o, seed),
+                             lambda dims: exhaustive_bound(*dims)),
+}

@@ -13,7 +13,6 @@ from usogrid import (
     PartitionPair,
     adversary_vertex_oracle,
     brute_force_sink,
-    ddim_vertex_oracle,
     edge_oracle,
     enumerate_usos,
     gen_one_line,
@@ -266,7 +265,7 @@ def test_criterion_7_ddim_recurrence():
         bound = ddim_bound(dims)
         for seed in range(5):
             g = gen_separable_ddim(dims, seed)
-            o = ddim_vertex_oracle(g, record=False)
+            o = vertex_oracle(g, record=False)
             sink, c = ddim_solve(o, dims)
             assert sink == brute_force_sink_ddim(g), (dims, seed)
             assert c.vertex_queries <= bound, (dims, seed, c.vertex_queries, bound)

@@ -2,8 +2,14 @@
 
 import json
 
+import pytest
+
 from usogrid.cli import main
+from usogrid.grid import OrientedGrid
 from usogrid.serialize import load_grid_file
+from usogrid.solvers import ALGORITHMS
+
+PLANAR_ALGS = sorted(a for a in ALGORITHMS if a != "ddim")
 
 
 def run(capsys, *argv):
@@ -95,6 +101,23 @@ class TestValidate:
         assert code == 0 and out.strip() == "ok"
 
 
+class TestMalformedFiles:
+    @pytest.mark.parametrize("content", [
+        b'{"shape": [2, 2, 2], "values": [[1, 2], [3, 4]]}',
+        b'{"shape": [2, 2], "values": [[1, 2], [3, "a"]]}',
+        b'{"shape": [1, 2], "edges": [{"a": [1, 1]}]}',
+        b'5',
+        b'\xff\xfe',
+    ], ids=["shape-3d", "non-number", "edge-without-b", "not-an-object", "not-utf8"])
+    def test_validate_and_solve_exit_2(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2 and "cannot load" in err
+        code, _, err = run(capsys, "solve", "--alg", "rect", "--grid", str(path))
+        assert code == 2 and "cannot load" in err
+
+
 class TestEnumerate:
     def test_count_only(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--shape", "2x2", "--count-only")
@@ -161,6 +184,22 @@ class TestSolve:
         assert reports[0] == reports[1]
 
 
+    @pytest.mark.parametrize("alg", PLANAR_ALGS)
+    def test_values_are_never_expanded(self, tmp_path, capsys, monkeypatch, alg):
+        path = tmp_path / "v.json"
+        run(capsys, "gen", "--model", "oneline", "--shape", "6x6", "--seed", "2",
+            "-o", str(path))
+
+        def expand(*_):
+            raise AssertionError("solve expanded a value matrix into an explicit grid")
+
+        monkeypatch.setattr(OrientedGrid, "from_values", expand)
+        for source in (["--grid", str(path)],
+                       ["--model", "oneline", "--shape", "6x6", "--seed", "2"]):
+            code, out, _ = run(capsys, "solve", "--alg", alg, *source)
+            assert code == 0 and json.loads(out)["verdict"] == "ok"
+
+
 class TestAdversary:
     def test_rect_5x7(self, capsys):
         code, out, _ = run(capsys, "adversary", "--shape", "5x7", "--alg", "rect")
@@ -201,6 +240,22 @@ class TestBench:
         assert code == 0
         for line in out.strip().splitlines()[1:]:
             assert line.split(",")[7] == "true"
+
+    @pytest.mark.parametrize("alg", PLANAR_ALGS)
+    def test_rows_match_solve_reports(self, capsys, alg):
+        code, out, _ = run(capsys, "bench", "--alg", alg, "--sizes", "5",
+                           "--trials", "4")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 4
+        for seed, row in enumerate(rows):
+            code, out, _ = run(capsys, "solve", "--alg", alg, "--model", "oneline",
+                               "--shape", "5x5", "--seed", str(seed))
+            assert code == 0
+            r = json.loads(out)
+            assert row == (f"{alg},5,5,{seed},{r['queries']['vertex']},"
+                           f"{r['queries']['edge']},{r['bound']},"
+                           f"{str(r['bound_ok']).lower()}")
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -12,7 +12,6 @@ from usogrid import (
     ValueMatrix,
     adversary_vertex_oracle,
     brute_force_sink,
-    ddim_vertex_oracle,
     edge_oracle,
     gen_one_line,
     gen_separable_ddim,
@@ -369,7 +368,7 @@ class TestPadOracle:
 class TestInheritedOracle:
     def test_two_dims_one_real_query_per_block(self):
         g = gen_separable_ddim((3, 4), 6)
-        base = ddim_vertex_oracle(g)
+        base = vertex_oracle(g)
 
         def zero_dim_solver(view):
             view.query(())
@@ -386,7 +385,7 @@ class TestInheritedOracle:
     def test_three_dims_block_cost_at_most_line_length(self):
         dims = (2, 3, 4)
         g = gen_separable_ddim(dims, 9)
-        base = ddim_vertex_oracle(g)
+        base = vertex_oracle(g)
 
         def line_walk(view):
             v = (0,)
@@ -406,7 +405,7 @@ class TestInheritedOracle:
     def test_block_sink_is_global_sink_of_sink_block(self):
         dims = (2, 2, 3)
         g = gen_separable_ddim(dims, 4)
-        base = ddim_vertex_oracle(g)
+        base = vertex_oracle(g)
 
         def line_walk(view):
             v = (0,)

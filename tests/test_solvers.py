@@ -12,7 +12,6 @@ from usogrid import (
     ValueMatrix,
     adversary_vertex_oracle,
     brute_force_sink,
-    ddim_vertex_oracle,
     edge_oracle,
     enumerate_usos,
     gen_one_line,
@@ -267,7 +266,7 @@ class TestDcEdgeSolve:
 class TestDdimSolve:
     def test_line_walk_bound(self):
         g = gen_separable_ddim((5,), 2)
-        o = ddim_vertex_oracle(g)
+        o = vertex_oracle(g)
         sink, counter = ddim_solve(o, (5,))
         assert sink == brute_force_sink_ddim(g)
         assert counter.vertex_queries <= 5
@@ -277,9 +276,9 @@ class TestDdimSolve:
         # solver runs on it directly; the recursion must behave identically
         for seed in range(10):
             g = gen_separable_ddim((3, 4), seed)
-            od = ddim_vertex_oracle(g)
+            od = vertex_oracle(g)
             sink_d, counter_d = ddim_solve(od, (3, 4))
-            orect = ddim_vertex_oracle(g)
+            orect = vertex_oracle(g)
             sink_r, counter_r = rectangular_solve(orect, 3, 4)
             assert sink_d == sink_r == brute_force_sink_ddim(g)
             assert counter_d.vertex_queries == counter_r.vertex_queries
@@ -289,7 +288,7 @@ class TestDdimSolve:
     def test_3x3x3_recurrence(self):
         for seed in range(10):
             g = gen_separable_ddim((3, 3, 3), seed)
-            o = ddim_vertex_oracle(g)
+            o = vertex_oracle(g)
             sink, counter = ddim_solve(o, (3, 3, 3))
             assert sink == brute_force_sink_ddim(g)
             assert counter.vertex_queries <= (3 + 3 - 1) * 3
@@ -406,7 +405,7 @@ def _check_planar(g: OrientedGrid):
 
 def _check_ddim(g: DOrientedGrid):
     _check_terminates(lambda o: ddim_solve(o, g.dims),
-                      ddim_vertex_oracle(g, record=False),
+                      vertex_oracle(g, record=False),
                       lambda v: not g.out_neighbors(v),
                       g.vertex_count, g.vertex_count)
 
@@ -421,11 +420,13 @@ class TestTermination:
         for word in range(1 << kernels.edge_count(m, n)):
             _check_planar(OrientedGrid.from_edge_word(m, n, word))
 
-    def test_planar_sampled_3x3(self):
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 4), (3, 5)], ids=["3x3", "4x4", "3x5"])
+    def test_planar_sampled(self, shape):
+        m, n = shape
         rng = random.Random(11)
-        bits = kernels.edge_count(3, 3)
+        bits = kernels.edge_count(m, n)
         for _ in range(300):
-            _check_planar(OrientedGrid.from_edge_word(3, 3, rng.getrandbits(bits)))
+            _check_planar(OrientedGrid.from_edge_word(m, n, rng.getrandbits(bits)))
 
     @pytest.mark.parametrize("dims", [(3,), (4,)])
     def test_ddim_all_line_orientations(self, dims):
