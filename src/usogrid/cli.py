@@ -15,8 +15,8 @@ import time
 
 from . import gen, serialize
 from .dgrid import validate_uso_ddim
-from .errors import CapExceededError
-from .grid import OrientedGrid, validate_uso
+from .errors import CapExceededError, NotUsoError
+from .grid import OrientedGrid, check_validation_cap, validate_uso
 from .oracles import adversary_vertex_oracle, edge_oracle, replay_transcript, vertex_oracle
 from .report import CSV_HEADER, RunReport
 from .solvers import ALGORITHMS
@@ -90,6 +90,7 @@ def _cmd_validate(args, parser) -> int:
         if doc.is_ddim:
             violation = validate_uso_ddim(doc.grid, max_subgrids=args.max_subgrids)
         else:
+            check_validation_cap(*doc.dims, args.max_coords)  # before building the grid
             violation = validate_uso(doc.grid, max_coords=args.max_coords)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -168,7 +169,11 @@ def _solve_once(alg: str, doc: serialize.GridDoc, seed: int, parser) -> RunRepor
 
 def _cmd_solve(args, parser) -> int:
     doc = _load_instance(args, parser)
-    report = _solve_once(args.alg, doc, args.seed, parser)
+    try:
+        report = _solve_once(args.alg, doc, args.seed, parser)
+    except NotUsoError as exc:  # from the solver, or the file has no unique sink
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     _emit(report.to_json_dict(), args.report)
     return _VERDICT_EXIT[report.verdict]
 

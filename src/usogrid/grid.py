@@ -359,6 +359,19 @@ def _bits(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def check_validation_cap(m: int, n: int, max_coords: int = DEFAULT_VALIDATION_COORDS) -> None:
+    """Raise :class:`CapExceededError` when validating an m x n grid would
+    enumerate more subgrids than the cap m + n <= ``max_coords`` allows."""
+    if m + n <= max_coords:
+        return
+    shown = (2**m - 1) * (2**n - 1) if m + n <= 40 else f"(2^{m} - 1)(2^{n} - 1)"
+    raise CapExceededError(
+        f"validation of a {m}x{n} grid enumerates {shown} "
+        f"subgrids which exceeds the cap (m + n <= {max_coords}); "
+        "raise max_coords explicitly or fall back to sampled checks"
+    )
+
+
 def validate_uso(
     grid: OrientedGrid, max_coords: int = DEFAULT_VALIDATION_COORDS
 ) -> UsoViolation | None:
@@ -369,12 +382,7 @@ def validate_uso(
     validation is never done silently.
     """
     m, n = grid.shape.rows, grid.shape.cols
-    if m + n > max_coords:
-        raise CapExceededError(
-            f"validation of a {m}x{n} grid enumerates {(2**m - 1) * (2**n - 1)} "
-            f"subgrids which exceeds the cap (m + n <= {max_coords}); "
-            "raise max_coords explicitly or fall back to sampled checks"
-        )
+    check_validation_cap(m, n, max_coords)
     hit = kernels.find_violation(m, n, grid._out)
     if hit is None:
         return None

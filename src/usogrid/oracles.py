@@ -35,17 +35,121 @@ class QueryCounter:
         return {"vertex": self.vertex_queries, "edge": self.edge_queries}
 
 
-@dataclass(frozen=True)
-class VertexAnswer:
-    """Result of one vertex query: the full incident edge partition.
+def _full(size: int) -> int:
+    return (1 << size) - 1
 
-    ``incoming`` and ``outgoing`` together cover every neighbour of
-    ``vertex``; the vertex is the global sink iff ``outgoing`` is empty.
+
+def _vertices_to_masks(vertex: tuple, ws) -> tuple[int, ...]:
+    """Per-axis line masks of a set of neighbours of ``vertex``."""
+    masks = [0] * len(vertex)
+    for w in ws:
+        axes = [a for a, (x, y) in enumerate(zip(vertex, w)) if x != y]
+        if len(w) != len(vertex) or len(axes) != 1:
+            raise GridError(f"{w} is not a neighbour of {vertex}")
+        masks[axes[0]] |= 1 << w[axes[0]]
+    return tuple(masks)
+
+
+def _masks_to_vertices(vertex: tuple, masks: tuple[int, ...]) -> frozenset:
+    """The neighbours of ``vertex`` whose bits are set in its line masks."""
+    ws = []
+    for a, mask in enumerate(masks):
+        while mask:
+            c = (mask & -mask).bit_length() - 1
+            ws.append(vertex[:a] + (c,) + vertex[a + 1 :])
+            mask &= mask - 1
+    return frozenset(ws)
+
+
+class VertexAnswer:
+    """Result of one vertex query: the direction of every incident edge.
+
+    Answers are line masks, one integer per axis: bit c of ``lines_out[a]``
+    (``lines_in[a]``) is set when the neighbour with coordinate c on axis a,
+    all other coordinates equal to ``vertex``'s, is an out- (in-) neighbour.
+    Axis 0 of a 2-D grid runs along the column through ``vertex``, axis 1
+    along its row.  The vertex is the global sink iff every out mask is 0.
+
+    ``incoming`` and ``outgoing``, the same partition as vertex sets, are
+    derived on first use.  ``VertexAnswer(vertex, incoming, outgoing)``
+    builds an answer from those sets; equality and hashing read the masks
+    only, so both constructions of one answer compare equal.
     """
 
-    vertex: tuple
-    incoming: frozenset
-    outgoing: frozenset
+    __slots__ = ("vertex", "lines_in", "lines_out", "_incoming", "_outgoing")
+
+    def __init__(self, vertex, incoming, outgoing):
+        self.vertex = tuple(vertex)
+        self._incoming = frozenset(incoming)
+        self._outgoing = frozenset(outgoing)
+        self.lines_in = _vertices_to_masks(self.vertex, self._incoming)
+        self.lines_out = _vertices_to_masks(self.vertex, self._outgoing)
+
+    @classmethod
+    def from_masks(cls, vertex: tuple, lines_in: tuple, lines_out: tuple) -> "VertexAnswer":
+        answer = object.__new__(cls)
+        answer.vertex = vertex
+        answer.lines_in = lines_in
+        answer.lines_out = lines_out
+        answer._incoming = answer._outgoing = None
+        return answer
+
+    @property
+    def is_sink(self) -> bool:
+        return not any(self.lines_out)
+
+    @property
+    def incoming(self) -> frozenset:
+        if self._incoming is None:
+            self._incoming = _masks_to_vertices(self.vertex, self.lines_in)
+        return self._incoming
+
+    @property
+    def outgoing(self) -> frozenset:
+        if self._outgoing is None:
+            self._outgoing = _masks_to_vertices(self.vertex, self.lines_out)
+        return self._outgoing
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VertexAnswer):
+            return NotImplemented
+        return (self.vertex == other.vertex and self.lines_in == other.lines_in
+                and self.lines_out == other.lines_out)
+
+    def __hash__(self) -> int:
+        return hash((self.vertex, self.lines_in, self.lines_out))
+
+    def __repr__(self) -> str:
+        return (f"VertexAnswer(vertex={self.vertex!r}, lines_in={self.lines_in!r}, "
+                f"lines_out={self.lines_out!r})")
+
+
+def _in_masks(vertex: tuple, sizes, lines_out) -> tuple[int, ...]:
+    """In masks of a total orientation: every other neighbour on each line."""
+    return tuple(_full(size) ^ out ^ (1 << c) for size, out, c in zip(sizes, lines_out, vertex))
+
+
+def _bool_mask(flags: np.ndarray) -> int:
+    """Bit c set iff ``flags[c]``."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _explicit_answer(out: Sequence[int], dims: tuple[int, ...], v: tuple) -> VertexAnswer:
+    """Answer of an explicit grid whose vertex k (row-major over ``dims``)
+    has the out-neighbour bitmask ``out[k]``: slice the lines through v."""
+    total = len(out)
+    index = 0
+    for c, size in zip(v, dims):
+        index = index * size + c
+    bits = format(out[index], f"0{total}b")  # bits[total - 1 - k] is bit k
+    lines_out = []
+    stride = total
+    for c, size in zip(v, dims):
+        stride //= size
+        # Highest coordinate first, so the slice reads as the line's mask.
+        start = total - 1 - (index + (size - 1 - c) * stride)
+        lines_out.append(int(bits[start : start + (size - 1) * stride + 1 : stride], 2))
+    return VertexAnswer.from_masks(v, _in_masks(v, dims, lines_out), tuple(lines_out))
 
 
 # Transcript records are ("vertex", v, VertexAnswer) or ("edge", (a, b), head)
@@ -97,7 +201,8 @@ class ExplicitVertexOracle(VertexOracle):
         self.shape = grid.shape
 
     def _answer(self, v: Vertex) -> VertexAnswer:
-        return VertexAnswer(v, self.grid.in_neighbors(v), self.grid.out_neighbors(v))
+        self.grid._check_vertex(v)
+        return _explicit_answer(self.grid._out, (self.shape.rows, self.shape.cols), v)
 
 
 class ValueVertexOracle(VertexOracle):
@@ -112,14 +217,9 @@ class ValueVertexOracle(VertexOracle):
         i, j = v
         if not self.shape.contains(v):
             raise GridError(f"vertex {v} out of bounds for {self.shape}")
-        row = self.values[i]
-        col = self.values[:, j]
         x = self.values[i, j]
-        outgoing = [(i, int(jj)) for jj in np.flatnonzero(row < x)]
-        outgoing += [(int(ii), j) for ii in np.flatnonzero(col < x)]
-        incoming = [(i, int(jj)) for jj in np.flatnonzero(row > x)]
-        incoming += [(int(ii), j) for ii in np.flatnonzero(col > x)]
-        return VertexAnswer(v, frozenset(incoming), frozenset(outgoing))
+        out = (_bool_mask(self.values[:, j] < x), _bool_mask(self.values[i] < x))
+        return VertexAnswer.from_masks(v, _in_masks(v, self.values.shape, out), out)
 
 
 def vertex_oracle(
@@ -205,8 +305,7 @@ class TransposedVertexOracle:
 
     def query(self, v: Vertex) -> VertexAnswer:
         ans = self._base.query((v[1], v[0]))
-        flip = lambda ws: frozenset((j, i) for i, j in ws)  # noqa: E731
-        return VertexAnswer(v, flip(ans.incoming), flip(ans.outgoing))
+        return VertexAnswer.from_masks(v, ans.lines_in[::-1], ans.lines_out[::-1])
 
 
 class AdversaryVertexOracle(VertexOracle):
@@ -242,20 +341,15 @@ class AdversaryVertexOracle(VertexOracle):
         return 0 if col == sink_col else self.shape.cols - col
 
     def _frozen_row_answer(self, v: Vertex) -> VertexAnswer:
+        # Column: rows frozen earlier point in, all others point out.  Row:
+        # values n - col, except 0 at the sink column.
         i, j = v
         m, n = self.shape.rows, self.shape.cols
-        order = self._frozen[i][0]
-        mine = self._row_value(i, j)
-        incoming = [(i, jj) for jj in range(n) if jj != j and self._row_value(i, jj) > mine]
-        outgoing = [(i, jj) for jj in range(n) if jj != j and self._row_value(i, jj) < mine]
-        for ii in range(m):
-            if ii == i:
-                continue
-            if ii in self._frozen and self._frozen[ii][0] < order:
-                incoming.append((ii, j))
-            else:
-                outgoing.append((ii, j))
-        return VertexAnswer(v, frozenset(incoming), frozenset(outgoing))
+        order, sink_col = self._frozen[i]
+        col_in = sum(1 << ii for ii, (o, _) in self._frozen.items() if o < order)
+        row_out = 0 if j == sink_col else (_full(n) >> (j + 1) << (j + 1)) | 1 << sink_col
+        out = (_full(m) ^ col_in ^ 1 << i, row_out)
+        return VertexAnswer.from_masks(v, _in_masks(v, (m, n), out), out)
 
     def _answer(self, v: Vertex) -> VertexAnswer:
         if not self.shape.contains(v):
@@ -267,19 +361,16 @@ class AdversaryVertexOracle(VertexOracle):
         if len(self._frozen) < m - 1:
             self._frozen[i] = (len(self._frozen) + 1, j)
             return self._frozen_row_answer(v)
-        # Only one unfrozen row is left: the tournament row.
+        # Only one unfrozen row is left: the tournament row.  Its column
+        # points in; earlier tournament columns point in, unqueried ones out.
         self._survivor = i
-        column_in = [(ii, j) for ii in range(m) if ii != i]
-        unqueried = [c for c in range(n) if c not in self._tournament and c != j]
-        if not unqueried:
+        row_in = sum(1 << c for c in self._tournament)
+        row_out = _full(n) ^ row_in ^ 1 << j
+        if row_out:
+            self._tournament.append(j)
+        else:
             self.sink = v
-            row_in = [(i, c) for c in range(n) if c != j]
-            return VertexAnswer(v, frozenset(row_in + column_in), frozenset())
-        earlier = list(self._tournament)
-        self._tournament.append(j)
-        row_in = [(i, c) for c in earlier]
-        row_out = [(i, c) for c in unqueried]
-        return VertexAnswer(v, frozenset(row_in + column_in), frozenset(row_out))
+        return VertexAnswer.from_masks(v, (_full(m) ^ 1 << i, row_in), (0, row_out))
 
     def materialize(self) -> OrientedGrid:
         """Explicit USO consistent with the full transcript.
@@ -360,6 +451,12 @@ class PartitionPair:
         return cls(cls._split(m, k), cls._split(n, l))
 
 
+def _block_mask(mask: int, blocks: tuple[tuple[int, int], ...]) -> int:
+    """Bit t set iff ``mask`` has a bit inside block t."""
+    return sum(1 << t for t, (start, stop) in enumerate(blocks)
+               if mask & _full(stop) >> start << start)
+
+
 class _BlockEdgeView:
     """Edge oracle restricted to one block, in block-local coordinates."""
 
@@ -427,38 +524,22 @@ class InducedVertexOracle(VertexOracle):
             raise SubSolverError(f"sub-solver returned {u} outside block {xy}")
         m, n = self._base.shape.rows, self._base.shape.cols
         ui, uj = u
-        row_head = {}
+        row_out = 0
         for j in range(n):
-            if j != uj:
-                row_head[j] = self._base.query_edge(u, (ui, j))
-        col_head = {}
+            if j != uj and self._base.query_edge(u, (ui, j)) != u:
+                row_out |= 1 << j
+        col_out = 0
         for i in range(m):
-            if i != ui:
-                col_head[i] = self._base.query_edge(u, (i, uj))
-        for j in range(c0, c1):
-            if j != uj and row_head[j] != u:
-                raise SubSolverError(f"sub-solver sink {u} has an outgoing edge in block {xy}")
-        for i in range(r0, r1):
-            if i != ui and col_head[i] != u:
-                raise SubSolverError(f"sub-solver sink {u} has an outgoing edge in block {xy}")
+            if i != ui and self._base.query_edge(u, (i, uj)) != u:
+                col_out |= 1 << i
+        if row_out & _full(c1) >> c0 << c0 or col_out & _full(r1) >> r0 << r0:
+            raise SubSolverError(f"sub-solver sink {u} has an outgoing edge in block {xy}")
         self._block_sinks[xy] = u
-        incoming = []
-        outgoing = []
-        for y2, (d0, d1) in enumerate(self._parts.col_blocks):
-            if y2 == y:
-                continue
-            if any(row_head[j] != u for j in range(d0, d1)):
-                outgoing.append((x, y2))
-            else:
-                incoming.append((x, y2))
-        for x2, (e0, e1) in enumerate(self._parts.row_blocks):
-            if x2 == x:
-                continue
-            if any(col_head[i] != u for i in range(e0, e1)):
-                outgoing.append((x2, y))
-            else:
-                incoming.append((x2, y))
-        return VertexAnswer(xy, frozenset(incoming), frozenset(outgoing))
+        # A block points out along a line iff some base edge into it does.
+        out = (_block_mask(col_out, self._parts.row_blocks),
+               _block_mask(row_out, self._parts.col_blocks))
+        sizes = (self.shape.rows, self.shape.cols)
+        return VertexAnswer.from_masks(xy, _in_masks(xy, sizes, out), out)
 
 
 def induced_vertex_oracle(
@@ -521,19 +602,16 @@ class DdimVertexOracle(VertexOracle):
         self.dims = grid.dims
 
     def _answer(self, v) -> VertexAnswer:
-        self.grid._check_vertex(tuple(v))
-        outgoing = self.grid.out_neighbors(v)
-        incoming = frozenset(
-            w for w in self.grid.neighbors(v) if w not in outgoing
-        )
-        return VertexAnswer(tuple(v), incoming, outgoing)
+        v = tuple(v)
+        self.grid._check_vertex(v)
+        return _explicit_answer(self.grid._out, self.dims, v)
 
 
 class _FixedAxesView:
     """(d-k)-dimensional vertex-oracle view with k axes pinned to constants.
 
-    Queries lift to the base oracle (shared counter and cache); answers keep
-    only the neighbours that stay inside the block and drop the pinned axes.
+    Queries lift to the base oracle (shared counter and cache); answers drop
+    the line masks of the pinned axes.
     """
 
     def __init__(self, base, pinned: dict[int, int]):
@@ -554,21 +632,13 @@ class _FixedAxesView:
             full[axis] = sub[pos]
         return tuple(full)
 
-    def _project(self, w: tuple) -> tuple:
-        return tuple(w[a] for a in self._axes)
-
     def query(self, sub: tuple) -> VertexAnswer:
-        full = self.lift(tuple(sub))
-        ans = self._base.query(full)
-
-        def keep(w):
-            axis = next(a for a in range(len(full)) if w[a] != full[a])
-            return axis not in self._pinned
-
-        return VertexAnswer(
-            tuple(sub),
-            frozenset(self._project(w) for w in ans.incoming if keep(w)),
-            frozenset(self._project(w) for w in ans.outgoing if keep(w)),
+        sub = tuple(sub)
+        ans = self._base.query(self.lift(sub))
+        return VertexAnswer.from_masks(
+            sub,
+            tuple(ans.lines_in[a] for a in self._axes),
+            tuple(ans.lines_out[a] for a in self._axes),
         )
 
 
@@ -612,26 +682,14 @@ class InheritedVertexOracle(VertexOracle):
         local = self._sub(view)
         full = view.lift(tuple(local))
         ans = self._base.query(full)  # cached: the sub-solver queried its sink last
-        for w in ans.outgoing:
-            axis = next(a for a in range(len(full)) if w[a] != full[a])
-            if axis not in (a0, a1):
-                raise SubSolverError(
-                    f"sub-solver sink {full} has an outgoing edge inside block {xy}"
-                )
+        if any(mask for a, mask in enumerate(ans.lines_out) if a not in (a0, a1)):
+            raise SubSolverError(
+                f"sub-solver sink {full} has an outgoing edge inside block {xy}"
+            )
         self._block_sinks[xy] = full
-        incoming = []
-        outgoing = []
-        for axis, pos in ((a0, 0), (a1, 1)):
-            for c in range(self._base.dims[axis]):
-                if c == xy[pos]:
-                    continue
-                w = full[:axis] + (c,) + full[axis + 1 :]
-                block = (c, xy[1]) if pos == 0 else (xy[0], c)
-                if w in ans.outgoing:
-                    outgoing.append(block)
-                else:
-                    incoming.append(block)
-        return VertexAnswer(xy, frozenset(incoming), frozenset(outgoing))
+        return VertexAnswer.from_masks(
+            xy, (ans.lines_in[a0], ans.lines_in[a1]), (ans.lines_out[a0], ans.lines_out[a1])
+        )
 
 
 def inherited_vertex_oracle(

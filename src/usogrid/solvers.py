@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import GridError, NotUsoError
-from .grid import Vertex
+from .grid import Vertex, _bits
 from .oracles import (
     InducedVertexOracle,
     InheritedVertexOracle,
@@ -36,15 +36,24 @@ from .oracles import (
 
 @dataclass(frozen=True)
 class EliminationRecord:
-    """Rows/columns with direct edges into a queried vertex (plus its own).
+    """Rows/columns with direct edges into a queried vertex (plus its own),
+    as bitmasks.
 
     The vertex is the unique sink of rows x cols, so when it is not the
     global sink that whole subgrid is ruled out.
     """
 
     vertex: Vertex
-    rows: frozenset[int]
-    cols: frozenset[int]
+    row_mask: int
+    col_mask: int
+
+    @property
+    def rows(self) -> frozenset[int]:
+        return _bits(self.row_mask)
+
+    @property
+    def cols(self) -> frozenset[int]:
+        return _bits(self.col_mask)
 
 
 class EliminationState:
@@ -88,23 +97,22 @@ def note_query(state: EliminationState, answer: VertexAnswer) -> None:
 
     A sink answer (no outgoing edges) resolves the search; otherwise the
     eliminated subgrid is derived from the answer's direct incoming edges
-    only — no transitive closure.
+    only — no transitive closure.  Rows come from the in mask along the
+    vertex's column (axis 0), columns from the one along its row (axis 1).
     """
     v = answer.vertex
     i, j = v
     if not state.is_active(v):
         raise GridError(f"queried vertex {v} is outside the active subgrid")
-    if not answer.outgoing:
+    if answer.is_sink:
         state.sink = v
         return
-    rows = {w[0] for w in answer.incoming if w[1] == j} | {i}
-    cols = {w[1] for w in answer.incoming if w[0] == i} | {j}
-    state.queried[v] = EliminationRecord(v, frozenset(rows), frozenset(cols))
-    cmask = 0
-    for c in cols:
-        cmask |= 1 << c
-    for r in rows:
-        state.elim[r] |= cmask
+    rmask = answer.lines_in[0] | 1 << i
+    cmask = answer.lines_in[1] | 1 << j
+    state.queried[v] = EliminationRecord(v, rmask, cmask)
+    while rmask:
+        state.elim[(rmask & -rmask).bit_length() - 1] |= cmask
+        rmask &= rmask - 1
     state.row_cover[i] = v
     state.col_cover[j] = v
 
@@ -233,7 +241,7 @@ def _walk(oracle, start, step) -> tuple:
             raise NotUsoError(f"walk revisited {v}: the orientation has a cycle")
         seen.add(v)
         answer = oracle.query(v)
-        if not answer.outgoing:
+        if answer.is_sink:
             return v
         v = step(answer.outgoing)
 

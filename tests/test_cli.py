@@ -5,6 +5,7 @@ import json
 import pytest
 
 from usogrid.cli import main
+from usogrid.gen import gen_one_line
 from usogrid.grid import OrientedGrid
 from usogrid.serialize import load_grid_file
 from usogrid.solvers import ALGORITHMS
@@ -100,6 +101,43 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", str(path))
         assert code == 0 and out.strip() == "ok"
 
+    def test_cap_checked_before_building_the_grid(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "huge.json"
+        run(capsys, "gen", "--model", "oneline", "--shape", "256x256",
+            "--seed", "0", "-o", str(path))
+
+        def expand(*_):
+            raise AssertionError("validate built the explicit grid before its cap check")
+
+        monkeypatch.setattr(OrientedGrid, "from_values", expand)
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 3 and "cap" in err
+        assert "(2^256 - 1)(2^256 - 1) subgrids" in err
+
+
+#: 2x2 orientations that are not USOs: a directed 4-cycle, and two sources
+#: pointing at two sinks.
+NON_USO_EDGES = {
+    "four-cycle": [("ab", [1, 1], [1, 2]), ("ab", [1, 2], [2, 2]),
+                   ("ba", [2, 1], [2, 2]), ("ba", [1, 1], [2, 1])],
+    "two-sinks": [("ba", [1, 1], [1, 2]), ("ab", [1, 2], [2, 2]),
+                  ("ab", [2, 1], [2, 2]), ("ba", [1, 1], [2, 1])],
+}
+
+
+class TestSolveNonUso:
+    @pytest.mark.parametrize("alg", PLANAR_ALGS)
+    @pytest.mark.parametrize("name", sorted(NON_USO_EDGES))
+    def test_exits_1_with_a_message(self, tmp_path, capsys, name, alg):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"shape": [2, 2], "edges": [
+            {"a": a, "b": b, "dir": d} for d, a, b in NON_USO_EDGES[name]]}))
+        code, _, _ = run(capsys, "validate", str(path))
+        assert code == 1
+        code, out, err = run(capsys, "solve", "--alg", alg, "--grid", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestMalformedFiles:
     @pytest.mark.parametrize("content", [
@@ -171,6 +209,15 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--alg", "diagonal", "--model",
                          "oneline", "--shape", "2x3", "--seed", "0")
         assert code == 2
+
+    def test_rect_1024_oneline(self, capsys):
+        code, out, _ = run(capsys, "solve", "--alg", "rect", "--model", "oneline",
+                           "--shape", "1024x1024", "--seed", "7")
+        assert code == 0
+        report = json.loads(out)
+        sink = gen_one_line(1024, 1024, 7).argmin_vertex()
+        assert report["sink"] == [c + 1 for c in sink]
+        assert report["queries"]["vertex"] <= 2047 and report["verdict"] == "ok"
 
     def test_report_json_stable_up_to_wall_time(self, tmp_path, capsys):
         reports = []

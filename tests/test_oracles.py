@@ -1,8 +1,11 @@
 """Oracle handles: counting, caching, adversary, induced/inherited/pad adapters."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usogrid import (
     AdversaryError,
@@ -17,6 +20,7 @@ from usogrid import (
     gen_separable_ddim,
     induced_vertex_oracle,
     inherited_vertex_oracle,
+    kernels,
     orient_from_values,
     pad_oracle,
     pad_values_to_square,
@@ -24,10 +28,18 @@ from usogrid import (
     validate_uso,
     vertex_oracle,
 )
-from usogrid.dgrid import brute_force_sink_ddim
+from usogrid.dgrid import DOrientedGrid, brute_force_sink_ddim, ddim_edge_count
 from usogrid.gen import contiguous_partitions
-from usogrid.grid import Edge
-from usogrid.oracles import ExplicitVertexOracle, ValueVertexOracle
+from usogrid.grid import Edge, OrientedGrid
+from usogrid.oracles import (
+    DdimVertexOracle,
+    ExplicitVertexOracle,
+    InheritedVertexOracle,
+    TransposedVertexOracle,
+    ValueVertexOracle,
+    VertexAnswer,
+    _FixedAxesView,
+)
 from usogrid.solvers import dc_edge_solve, rectangular_solve, walk_solve
 
 
@@ -456,3 +468,110 @@ def test_lemma3_style_sweep_materialized_block_grids():
                             r0, r1 = rblocks[hsink[0]]
                             c0, c1 = cblocks[hsink[1]]
                             assert r0 <= gsink[0] < r1 and c0 <= gsink[1] < c1
+
+
+def _neighbour_sets(g, v):
+    """(incoming, outgoing) of ``v`` read from an explicit 2-D or d-dim grid."""
+    if isinstance(g, OrientedGrid):
+        return g.in_neighbors(v), g.out_neighbors(v)
+    out = g.out_neighbors(v)
+    return frozenset(g.neighbors(v)) - out, out
+
+
+def _check_answer(answer, incoming, outgoing):
+    """The mask answer derives the given sets, and the answer built from
+    those sets compares and hashes equal to it."""
+    from_sets = VertexAnswer(answer.vertex, incoming, outgoing)
+    assert from_sets == answer and hash(from_sets) == hash(answer)
+    assert answer.incoming == incoming and answer.outgoing == outgoing
+    assert answer.is_sink == (not outgoing)
+
+
+class TestLineMaskAnswers:
+    """Every backend and view answers in line masks that derive exactly the
+    explicit grid's neighbour sets, on USOs and non-USOs alike."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**64))
+    def test_explicit_and_transposed(self, m, n, raw):
+        g = OrientedGrid.from_edge_word(m, n, raw % (1 << kernels.edge_count(m, n)))
+        gt = g.transpose()
+        explicit = ExplicitVertexOracle(g)
+        transposed = TransposedVertexOracle(ExplicitVertexOracle(g))
+        for i, j in g.shape.vertices():
+            _check_answer(explicit.query((i, j)), *_neighbour_sets(g, (i, j)))
+            _check_answer(transposed.query((j, i)), *_neighbour_sets(gt, (j, i)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 10**6))
+    def test_values_and_transposed(self, m, n, seed):
+        vm = gen_one_line(m, n, seed)
+        g = orient_from_values(vm)
+        gt = g.transpose()
+        values = ValueVertexOracle(vm)
+        transposed = TransposedVertexOracle(ValueVertexOracle(vm))
+        for i, j in g.shape.vertices():
+            _check_answer(values.query((i, j)), *_neighbour_sets(g, (i, j)))
+            _check_answer(transposed.query((j, i)), *_neighbour_sets(gt, (j, i)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 2**64),
+           st.integers(0, 10**6))
+    def test_ddim_and_fixed_axes(self, dims, raw, seed):
+        dims = tuple(dims)
+        g = DOrientedGrid.from_edge_word(dims, raw % (1 << ddim_edge_count(dims)))
+        base = DdimVertexOracle(g)
+        rng = random.Random(seed)
+        for v in g.vertices():
+            _check_answer(base.query(v), *_neighbour_sets(g, v))
+            pinned = {a: v[a] for a in range(len(dims)) if rng.random() < 0.5}
+            free = [a for a in range(len(dims)) if a not in pinned]
+            view = _FixedAxesView(base, pinned)
+            sub = tuple(v[a] for a in free)
+            incoming, outgoing = _neighbour_sets(g, v)
+
+            def inside(ws):
+                return frozenset(tuple(w[a] for a in free) for w in ws
+                                 if all(w[a] == v[a] for a in pinned))
+
+            _check_answer(view.query(sub), inside(incoming), inside(outgoing))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=2, max_size=4), st.integers(0, 10**6),
+           st.integers(0, 10**6))
+    def test_inherited(self, dims, seed, pick):
+        dims = tuple(dims)
+        g = gen_separable_ddim(dims, seed)
+        a0, a1 = random.Random(pick).sample(range(len(dims)), 2)
+
+        def sink_by_scan(view):
+            return next(v for v in itertools.product(*map(range, view.dims))
+                        if view.query(v).is_sink)
+
+        inh = InheritedVertexOracle(vertex_oracle(g), (a0, a1), sink_by_scan)
+        for x in range(dims[a0]):
+            for y in range(dims[a1]):
+                answer = inh.query((x, y))
+                sink = inh.block_sink((x, y))
+                incoming, outgoing = _neighbour_sets(g, sink)
+
+                def blocks(ws):
+                    return frozenset((w[a0], y) if w[a0] != sink[a0] else (x, w[a1])
+                                     for w in ws if w[a0] != sink[a0] or w[a1] != sink[a1])
+
+                _check_answer(answer, blocks(incoming), blocks(outgoing))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.randoms(use_true_random=False))
+    def test_adversary(self, m, n, rng):
+        oracle = adversary_vertex_oracle((m, n))
+        vertices = [(i, j) for i in range(m) for j in range(n)]
+        rng.shuffle(vertices)
+        answers = [oracle.query(v) for v in vertices]
+        g = oracle.materialize()
+        for answer in answers:
+            _check_answer(answer, *_neighbour_sets(g, answer.vertex))
+
+    def test_set_built_answer_rejects_non_neighbours(self):
+        with pytest.raises(GridError):
+            VertexAnswer((0, 0), {(1, 1)}, set())

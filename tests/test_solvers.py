@@ -17,11 +17,13 @@ from usogrid import (
     gen_one_line,
     gen_separable_ddim,
     kernels,
+    oracles,
     orient_from_values,
     vertex_oracle,
 )
 from usogrid.dgrid import DOrientedGrid, brute_force_sink_ddim, ddim_edge_count
 from usogrid.grid import OrientedGrid
+from usogrid.oracles import TransposedVertexOracle
 from usogrid.solvers import (
     DEFAULT_SCHEDULE,
     EliminationState,
@@ -77,6 +79,24 @@ class TestNoteQuery:
         o = vertex_oracle(grid_2134())
         with pytest.raises(Exception):
             note_query(state, o.query((0, 0)))
+
+
+class TestMaskOnlySolve:
+    @pytest.mark.parametrize("shape", [(7, 7), (6, 11), (11, 6)])
+    def test_rect_never_derives_vertex_sets(self, monkeypatch, shape):
+        # Through TransposedVertexOracle both inside (m > n) and outside.
+        def derive(*_):
+            raise AssertionError("a solver derived the neighbour sets of an answer")
+
+        monkeypatch.setattr(oracles, "_masks_to_vertices", derive)
+        m, n = shape
+        for seed in range(5):
+            vm = gen_one_line(m, n, seed)
+            sink, _ = rectangular_solve(vertex_oracle(vm, record=False), m, n)
+            assert sink == vm.argmin_vertex()
+            wrapped = TransposedVertexOracle(vertex_oracle(vm, record=False))
+            sink, _ = rectangular_solve(wrapped, n, m)
+            assert sink[::-1] == vm.argmin_vertex()
 
 
 class TestEliminatedLines:
