@@ -8,12 +8,7 @@ lower-bound adversary and induced/inherited/padded adapters), the
 deterministic elimination solvers with their query bounds, and a CLI.
 """
 
-from .dgrid import (
-    DOrientedGrid,
-    brute_force_sink_ddim,
-    find_cycle_ddim,
-    validate_uso_ddim,
-)
+from .dgrid import DOrientedGrid, validate_uso_ddim
 from .errors import (
     AdversaryError,
     CapExceededError,
@@ -29,7 +24,6 @@ from .gen import (
     gen_one_line,
     gen_separable_ddim,
     one_line_instance,
-    orient_from_values,
     pad_values_to_square,
 )
 from .grid import (
@@ -46,14 +40,13 @@ from .grid import (
 )
 from .oracles import (
     AdversaryVertexOracle,
+    InducedVertexOracle,
+    InheritedVertexOracle,
+    PaddedEdgeOracle,
     PartitionPair,
     QueryCounter,
     VertexAnswer,
-    adversary_vertex_oracle,
     edge_oracle,
-    induced_vertex_oracle,
-    inherited_vertex_oracle,
-    pad_oracle,
     replay_transcript,
     vertex_oracle,
 )

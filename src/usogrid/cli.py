@@ -17,7 +17,7 @@ from . import gen, serialize
 from .dgrid import validate_uso_ddim
 from .errors import CapExceededError, NotUsoError
 from .grid import OrientedGrid, check_validation_cap, validate_uso
-from .oracles import adversary_vertex_oracle, edge_oracle, replay_transcript, vertex_oracle
+from .oracles import AdversaryVertexOracle, edge_oracle, replay_transcript, vertex_oracle
 from .report import CSV_HEADER, RunReport
 from .solvers import ALGORITHMS
 
@@ -60,7 +60,7 @@ def _cmd_gen(args, parser) -> int:
         doc = serialize.values_to_json(gen.gen_one_line(m, n, args.seed))
     elif args.model == "separable":
         dims = _parse_shape(args.shape, parser, want_dims=None)
-        doc = serialize.dgrid_to_json(gen.gen_separable_ddim(dims, args.seed))
+        doc = serialize.grid_to_json(gen.gen_separable_ddim(dims, args.seed))
     else:  # enumerate-index: the seed doubles as the index
         m, n = _parse_shape(args.shape, parser)
         try:
@@ -182,7 +182,7 @@ def _cmd_adversary(args, parser) -> int:
     m, n = _parse_shape(args.shape, parser)
     if args.alg == "diagonal" and m != n:
         parser.error("--alg diagonal needs a square shape")
-    oracle = adversary_vertex_oracle((m, n))
+    oracle = AdversaryVertexOracle((m, n))
     ALGORITHMS[args.alg].solve(oracle, (m, n), 0)
     grid = oracle.materialize()
     try:

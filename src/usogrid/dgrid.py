@@ -1,26 +1,35 @@
-"""d-dimensional grid orientations: products of d complete graphs.
+"""The grid core: orientations of products of d complete graphs.
 
-Vertices are coordinate tuples; two vertices are adjacent iff they differ in
-exactly one coordinate.  Sizes stay at desk scale (the validator enumerates
-products of nonempty coordinate subsets), so everything here is pure Python
-with unbounded bitmasks.
+Vertices are coordinate tuples, numbered row-major (the last axis varies
+fastest); two vertices are adjacent iff they differ in exactly one
+coordinate, i.e. they lie on one line along that axis.  An orientation is
+stored as line masks, the bits a vertex query answers: bit c of
+``lines[a][k]`` is set iff vertex k points to its neighbour with coordinate c
+on axis a (all other coordinates equal).  That is one bit per end of every
+edge, so storage grows with the number of edges.  The 2-D grid of
+:mod:`usogrid.grid` is the d = 2 case.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, GridError, NotUsoError
-from .grid import _bits, _find_cycle_masks
+from . import kernels
+from .errors import CapExceededError, GridError
+from .kernels import _bit_list
 
 DVertex = tuple[int, ...]
 
 DEFAULT_SUBGRID_CAP = 100_000
+
+#: Booleans one numpy comparison may produce while building lines from values.
+_FLAG_BUDGET = 1 << 22
 
 
 def ddim_edge_list(dims: Sequence[int]) -> list[tuple[DVertex, DVertex]]:
@@ -43,42 +52,104 @@ def ddim_edge_count(dims: Sequence[int]) -> int:
     return sum(total // s * (s * (s - 1) // 2) for s in dims)
 
 
-class DOrientedGrid:
-    """Total edge orientation of a d-dimensional grid."""
+def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
+    dims = tuple(operator.index(d) for d in dims)
+    if not dims or any(d < 1 for d in dims):
+        raise GridError(f"dims must be positive, got {dims}")
+    return dims
 
-    __slots__ = ("dims", "_out")
+
+def _strides(dims: Sequence[int]) -> list[int]:
+    """Index step of one coordinate along each axis (row-major numbering)."""
+    return [math.prod(dims[a + 1 :]) for a in range(len(dims))]
+
+
+def _full(size: int) -> int:
+    return (1 << size) - 1
+
+
+def _bits(mask: int) -> frozenset[int]:
+    return frozenset(_bit_list(mask))
+
+
+def _in_masks(vertex: tuple, sizes, lines_out) -> tuple[int, ...]:
+    """In masks of a total orientation: every other neighbour on each line."""
+    return tuple(_full(size) ^ out ^ (1 << c) for size, out, c in zip(sizes, lines_out, vertex))
+
+
+def _masks_to_vertices(vertex: tuple, masks: tuple[int, ...]) -> frozenset:
+    """The neighbours of ``vertex`` whose bits are set in its line masks."""
+    return frozenset(vertex[:a] + (c,) + vertex[a + 1 :]
+                     for a, mask in enumerate(masks) for c in _bit_list(mask))
+
+
+def _pack_rows(flags: np.ndarray) -> list[int]:
+    """One int per row of a 2-D boolean array: bit c is ``flags[r, c]``."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [int.from_bytes(data[r : r + width], "little") for r in range(0, len(data), width)]
+
+
+def _value_lines(values: np.ndarray) -> list[list[int]]:
+    """Line masks orienting every line pair from the larger value to the
+    smaller: one numpy comparison per slab of lines, in vertex order."""
+    dims = values.shape
+    slab = values[0].size  # vertices per coordinate of axis 0
+    lines = []
+    for axis, size in enumerate(dims):
+        step = max(1, _FLAG_BUDGET // (slab * size))
+        masks: list[int] = []
+        for start in range(0, dims[0], step):
+            part = values[start : start + step]
+            # rivals[..., c] is the value at coordinate c on this axis.
+            rivals = np.expand_dims(np.moveaxis(values if axis == 0 else part, axis, -1), axis)
+            masks += _pack_rows((rivals < part[..., None]).reshape(-1, size))
+        lines.append(masks)
+    return lines
+
+
+class DOrientedGrid:
+    """Total edge orientation of a d-dimensional grid, as line masks.
+
+    Immutable after construction; safe to share across threads.  A grid
+    equals only a grid of the same class with the same dims and lines.
+    """
+
+    __slots__ = ("dims", "lines")
 
     def __init__(self, dims: Sequence[int], directed_edges: Iterable[tuple[DVertex, DVertex]]):
-        dims = tuple(int(d) for d in dims)
-        if not dims or any(d < 1 for d in dims):
-            raise GridError(f"dims must be positive, got {dims}")
-        self.dims = dims
-        out = [0] * self.vertex_count
+        """Build from (tail, head) pairs; every grid edge must appear exactly once."""
+        self.dims = _check_dims(dims)
+        lines = [[0] * self.vertex_count for _ in self.dims]
+        index_of = {v: k for k, v in enumerate(self.vertices())}
         seen = set()
         for tail, head in directed_edges:
             tail, head = tuple(tail), tuple(head)
-            self._check_vertex(tail)
-            self._check_vertex(head)
-            if sum(a != b for a, b in zip(tail, head)) != 1:
-                raise GridError(f"{tail} and {head} must differ in exactly one coordinate")
-            key = (min(tail, head), max(tail, head))
+            kt, kh = index_of.get(tail), index_of.get(head)
+            differ = list(map(operator.ne, tail, head))
+            if kt is None or kh is None or differ.count(True) != 1:
+                self._edge_axis(tail, head)  # raises the precise error
+            key = (kt, kh) if kt < kh else (kh, kt)
             if key in seen:
-                raise GridError(f"edge {key} oriented more than once")
+                a, b = sorted((tail, head))
+                raise GridError(f"edge {a}-{b} oriented more than once")
             seen.add(key)
-            out[self.index(tail)] |= 1 << self.index(head)
-        if len(seen) != ddim_edge_count(dims):
+            axis = differ.index(True)
+            lines[axis][kt] |= 1 << head[axis]
+        expected = ddim_edge_count(self.dims)
+        if len(seen) != expected:
             raise GridError(
-                f"orientation is not total: {len(seen)} of "
-                f"{ddim_edge_count(dims)} edges given"
+                f"orientation is not total: {len(seen)} of {expected} edges given"
             )
-        self._out = tuple(out)
+        self.lines = tuple(map(tuple, lines))
 
     @classmethod
-    def _from_out_masks(cls, dims: tuple[int, ...], out: Sequence[int]) -> "DOrientedGrid":
-        g = object.__new__(cls)
-        g.dims = dims
-        g._out = tuple(out)
-        return g
+    def _from_lines(cls, dims: tuple[int, ...], lines: Sequence[Sequence[int]]):
+        grid = object.__new__(cls)
+        grid.dims = dims
+        grid.lines = tuple(map(tuple, lines))
+        return grid
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "DOrientedGrid":
@@ -86,15 +157,7 @@ class DOrientedGrid:
         arr = np.asarray(values, dtype=np.float64)
         if np.unique(arr).size != arr.size:
             raise GridError("values must be pairwise distinct")
-        dims = tuple(arr.shape)
-        g = cls._from_out_masks(dims, [0] * math.prod(dims))
-        out = [0] * math.prod(dims)
-        for u, w in ddim_edge_list(dims):
-            if arr[u] > arr[w]:
-                out[g.index(u)] |= 1 << g.index(w)
-            else:
-                out[g.index(w)] |= 1 << g.index(u)
-        return cls._from_out_masks(dims, out)
+        return cls._from_lines(_check_dims(arr.shape), _value_lines(arr))
 
     @classmethod
     def from_edge_word(cls, dims: Sequence[int], word: int) -> "DOrientedGrid":
@@ -103,15 +166,8 @@ class DOrientedGrid:
         Bit e set means edge e points from its lexicographically smaller
         endpoint to the larger one.
         """
-        dims = tuple(dims)
-        g = cls._from_out_masks(dims, [0] * math.prod(dims))
-        out = [0] * math.prod(dims)
-        for e, (u, w) in enumerate(ddim_edge_list(dims)):
-            if word >> e & 1:
-                out[g.index(u)] |= 1 << g.index(w)
-            else:
-                out[g.index(w)] |= 1 << g.index(u)
-        return cls._from_out_masks(dims, out)
+        dims = _check_dims(dims)
+        return cls._from_lines(dims, kernels.word_to_lines(dims, word, range(len(dims))))
 
     @property
     def vertex_count(self) -> int:
@@ -123,10 +179,17 @@ class DOrientedGrid:
         return sum(self.dims)
 
     def _check_vertex(self, v: DVertex) -> None:
-        if len(v) != len(self.dims) or any(
-            not 0 <= x < s for x, s in zip(v, self.dims)
-        ):
+        if len(v) != len(self.dims) or min(v) < 0 or any(map(operator.ge, v, self.dims)):
             raise GridError(f"vertex {v} out of bounds for dims {self.dims}")
+
+    def _edge_axis(self, u: DVertex, w: DVertex) -> int:
+        """The axis of the line through u and w; GridError unless they are adjacent."""
+        self._check_vertex(u)
+        self._check_vertex(w)
+        differ = list(map(operator.ne, u, w))
+        if differ.count(True) != 1:
+            raise GridError(f"{u} and {w} must differ in exactly one coordinate")
+        return differ.index(True)
 
     def index(self, v: DVertex) -> int:
         idx = 0
@@ -151,29 +214,39 @@ class DOrientedGrid:
                     yield v[:axis] + (x,) + v[axis + 1 :]
 
     def out_neighbors(self, v: DVertex) -> frozenset[DVertex]:
+        """All w adjacent to v with the edge directed v -> w; empty iff v is a sink."""
         self._check_vertex(v)
-        mask = self._out[self.index(v)]
-        result = []
-        while mask:
-            result.append(self.vertex((mask & -mask).bit_length() - 1))
-            mask &= mask - 1
-        return frozenset(result)
+        k = self.index(v)
+        return _masks_to_vertices(v, tuple(line[k] for line in self.lines))
+
+    def in_neighbors(self, v: DVertex) -> frozenset[DVertex]:
+        self._check_vertex(v)
+        k = self.index(v)
+        out = tuple(line[k] for line in self.lines)
+        return _masks_to_vertices(v, _in_masks(v, self.dims, out))
+
+    def is_sink(self, v: DVertex) -> bool:
+        self._check_vertex(v)
+        k = self.index(v)
+        return not any(line[k] for line in self.lines)
 
     def points_to(self, tail: DVertex, head: DVertex) -> bool:
-        return bool(self._out[self.index(tail)] >> self.index(head) & 1)
+        """Whether the edge tail-head is directed tail -> head."""
+        axis = self._edge_axis(tail, head)
+        return bool(self.lines[axis][self.index(tail)] >> head[axis] & 1)
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, DOrientedGrid)
+            type(other) is type(self)
             and self.dims == other.dims
-            and self._out == other._out
+            and self.lines == other.lines
         )
 
     def __hash__(self) -> int:
-        return hash((self.dims, self._out))
+        return hash((self.dims, self.lines))
 
     def __repr__(self) -> str:
-        return f"<DOrientedGrid {'x'.join(map(str, self.dims))}>"
+        return f"<{type(self).__name__} {'x'.join(map(str, self.dims))}>"
 
 
 @dataclass(frozen=True)
@@ -187,51 +260,31 @@ class DUsoViolation:
 def validate_uso_ddim(
     grid: DOrientedGrid, max_subgrids: int = DEFAULT_SUBGRID_CAP
 ) -> DUsoViolation | None:
-    """Check the unique-sink property over all products of nonempty subsets."""
+    """Check the unique-sink property over all products of nonempty subsets.
+
+    Subgrids are scanned in ascending order of their per-axis masks, axis 0
+    outermost; single vertices are skipped.  A vertex is a sink of the
+    subgrid iff on every axis its line mask misses the axis subset.
+    """
     total = math.prod(2**s - 1 for s in grid.dims)
     if total > max_subgrids:
         raise CapExceededError(
             f"validating dims {grid.dims} means {total} subgrids, above the cap "
             f"{max_subgrids}; raise max_subgrids explicitly"
         )
-    axis_subsets = []
-    for axis, size in enumerate(grid.dims):
-        subsets = []
-        for mask in range(1, 1 << size):
-            coords = tuple(x for x in range(size) if mask >> x & 1)
-            subsets.append((mask, coords))
-        axis_subsets.append(subsets)
+    axis_subsets = [[(mask, [c * stride for c in _bit_list(mask)]) for mask in range(1, 1 << size)]
+                    for size, stride in zip(grid.dims, _strides(grid.dims))]
     for combo in itertools.product(*axis_subsets):
-        coords_lists = [c for _, c in combo]
-        ids = [
-            grid.index(v) for v in itertools.product(*coords_lists)
-        ]
+        masks = [mask for mask, _ in combo]
+        ids = [sum(offsets) for offsets in itertools.product(*(offs for _, offs in combo))]
         if len(ids) == 1:
             continue
-        sub = 0
-        for i in ids:
-            sub |= 1 << i
-        sinks = sum(1 for i in ids if not grid._out[i] & sub)
+        sinks = sum(1 for k in ids
+                    if not any(line[k] & mask for line, mask in zip(grid.lines, masks)))
         if sinks != 1:
-            return DUsoViolation(
-                tuple(frozenset(_bits(mask)) for mask, _ in combo), sinks
-            )
+            return DUsoViolation(tuple(_bits(mask) for mask in masks), sinks)
     return None
 
 
 def is_uso_ddim(grid: DOrientedGrid, max_subgrids: int = DEFAULT_SUBGRID_CAP) -> bool:
     return validate_uso_ddim(grid, max_subgrids) is None
-
-
-def brute_force_sink_ddim(grid: DOrientedGrid) -> DVertex:
-    sinks = [grid.vertex(i) for i, mask in enumerate(grid._out) if mask == 0]
-    if len(sinks) != 1:
-        raise NotUsoError(f"not a USO: {len(sinks)} sinks in dims {grid.dims}")
-    return sinks[0]
-
-
-def find_cycle_ddim(grid: DOrientedGrid) -> list[DVertex] | None:
-    cycle = _find_cycle_masks(grid._out, grid.vertex_count)
-    if cycle is None:
-        return None
-    return [grid.vertex(i) for i in cycle]

@@ -25,15 +25,6 @@ from .grid import GridShape, OrientedGrid, ValueMatrix, validate_uso
 DEFAULT_ENUMERATION_EDGES = 20
 
 
-def orient_from_values(vm: ValueMatrix) -> OrientedGrid:
-    """Direct each row/column edge from the larger value to the smaller.
-
-    The result is acyclic but not necessarily a USO: a submatrix may have
-    several entries that are minimal in their own row and column.
-    """
-    return OrientedGrid.from_values(vm)
-
-
 @dataclass(frozen=True)
 class PointInstance:
     """Points strictly left and right of the vertical line x = 0.
@@ -135,7 +126,7 @@ def pad_values_to_square(
     """
     m, n = vm.values.shape
     if validate:
-        violation = validate_uso(orient_from_values(vm), max_coords)
+        violation = validate_uso(OrientedGrid.from_values(vm), max_coords)
         if violation is not None:
             raise NotUsoError(f"input does not induce a USO: {violation}")
     if m == n:

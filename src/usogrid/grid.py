@@ -5,9 +5,12 @@ column) pairs and two vertices are adjacent iff they share a row or a column.
 Coordinates are 0-based throughout the Python API; the JSON layer
 (:mod:`usogrid.serialize`) is the 1-based boundary.
 
-Orientations are stored explicitly per edge (as out-neighbour bitmasks) so
-that non-USO candidates can be represented and rejected; value matrices are a
-constructor, not the canonical form.
+:class:`OrientedGrid` is the d = 2 case of the grid core
+:class:`usogrid.dgrid.DOrientedGrid`: every edge direction is stored, as one
+column and one row line mask per vertex, so that non-USO candidates can be
+represented and rejected; value matrices are a constructor, not the
+canonical form.  The sink scan and the cycle search below take a grid of
+any dimension.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import kernels
+from .dgrid import DOrientedGrid, _bits, _in_masks, _strides, _value_lines
 from .errors import CapExceededError, CyclicOrientationError, GridError, NotUsoError
+from .kernels import _bit_list
 
 Vertex = tuple[int, int]
 
@@ -139,106 +144,44 @@ class ValueMatrix:
         return f"ValueMatrix({self.values.tolist()!r})"
 
 
-class OrientedGrid:
-    """Total edge orientation of an (m, n) grid.
+class OrientedGrid(DOrientedGrid):
+    """Total edge orientation of an (m, n) grid: the d = 2 case of
+    :class:`DOrientedGrid`.
 
-    Immutable after construction; safe to share across threads.
+    Axis 0 is the row coordinate, so ``lines[0][k]`` (bits over rows) holds
+    the column through vertex k and ``lines[1][k]`` (bits over columns) its
+    row.  This class adds the 2-D vocabulary: :class:`GridShape`,
+    :class:`Edge`/:class:`Direction`, restriction, permutation and the
+    kernels' row-edges-first edge words.  Immutable after construction; safe
+    to share across threads.
     """
 
-    __slots__ = ("shape", "_out")
+    __slots__ = ("shape",)
 
     def __init__(self, shape: GridShape, directed_edges: Iterable[tuple[Vertex, Vertex]]):
         """Build from (tail, head) pairs; every grid edge must appear exactly once."""
-        out = [0] * shape.vertex_count
-        seen: set[tuple[Vertex, Vertex]] = set()
-        for tail, head in directed_edges:
-            edge = Edge(tail, head)  # validates adjacency
-            if not (shape.contains(tail) and shape.contains(head)):
-                raise GridError(f"edge {tail}-{head} out of bounds for {shape}")
-            key = (edge.a, edge.b)
-            if key in seen:
-                raise GridError(f"edge {edge.a}-{edge.b} oriented more than once")
-            seen.add(key)
-            out[shape.index(tail)] |= 1 << shape.index(head)
-        expected = kernels.edge_count(shape.rows, shape.cols)
-        if len(seen) != expected:
-            raise GridError(
-                f"orientation is not total: {len(seen)} of {expected} edges given"
-            )
         self.shape = shape
-        self._out = tuple(out)
+        super().__init__((shape.rows, shape.cols), directed_edges)
 
     @classmethod
-    def _from_out_masks(cls, shape: GridShape, out: Sequence[int]) -> "OrientedGrid":
-        grid = object.__new__(cls)
-        grid.shape = shape
-        grid._out = tuple(out)
+    def _from_lines(cls, dims: tuple[int, ...], lines: Sequence[Sequence[int]]):
+        grid = super()._from_lines(dims, lines)
+        grid.shape = GridShape(*dims)
         return grid
 
     @classmethod
     def from_values(cls, vm: ValueMatrix) -> "OrientedGrid":
         """Orient every row/column pair from the larger entry to the smaller."""
-        shape = vm.shape
-        m, n = shape.rows, shape.cols
-        out = [0] * (m * n)
-        for i in range(m):
-            order = np.argsort(vm.values[i])
-            below = 0
-            for j in order:
-                out[i * n + int(j)] |= below
-                below |= 1 << (i * n + int(j))
-        for j in range(n):
-            order = np.argsort(vm.values[:, j])
-            below = 0
-            for i in order:
-                out[int(i) * n + j] |= below
-                below |= 1 << (int(i) * n + j)
-        return cls._from_out_masks(shape, out)
+        return cls._from_lines(vm.values.shape, _value_lines(vm.values))
 
     @classmethod
     def from_edge_word(cls, m: int, n: int, word: int) -> "OrientedGrid":
         """Decode a kernel edge word (see :mod:`usogrid.kernels`)."""
-        return cls._from_out_masks(
-            GridShape(m, n), kernels.word_to_out_masks(m, n, word)
-        )
-
-    def _check_vertex(self, v: Vertex) -> None:
-        if not self.shape.contains(v):
-            raise GridError(f"vertex {v} out of bounds for {self.shape}")
-
-    def out_mask(self, v: Vertex) -> int:
-        return self._out[self.shape.index(v)]
-
-    def out_neighbors(self, v: Vertex) -> frozenset[Vertex]:
-        """All w adjacent to v with the edge directed v -> w; empty iff v is a sink."""
-        self._check_vertex(v)
-        mask = self._out[self.shape.index(v)]
-        result = []
-        while mask:
-            result.append(self.shape.vertex((mask & -mask).bit_length() - 1))
-            mask &= mask - 1
-        return frozenset(result)
-
-    def in_neighbors(self, v: Vertex) -> frozenset[Vertex]:
-        self._check_vertex(v)
-        idx = self.shape.index(v)
-        i, j = v
-        result = []
-        for jj in range(self.shape.cols):
-            if jj != j and self._out[i * self.shape.cols + jj] >> idx & 1:
-                result.append((i, jj))
-        for ii in range(self.shape.rows):
-            if ii != i and self._out[ii * self.shape.cols + j] >> idx & 1:
-                result.append((ii, j))
-        return frozenset(result)
+        return cls._from_lines((m, n), kernels.word_to_lines((m, n), word, (1, 0)))
 
     def direction_of(self, e: Edge) -> Direction:
         """Stored direction of ``e``; pure lookup, no query accounting."""
-        self._check_vertex(e.a)
-        self._check_vertex(e.b)
-        if self._out[self.shape.index(e.a)] >> self.shape.index(e.b) & 1:
-            return Direction.AB
-        return Direction.BA
+        return Direction.AB if self.points_to(e.a, e.b) else Direction.BA
 
     def head_of(self, e: Edge) -> Vertex:
         """The endpoint the edge points to."""
@@ -247,15 +190,6 @@ class OrientedGrid:
     def edges(self) -> Iterator[Edge]:
         for a, b in kernels.edge_list(self.shape.rows, self.shape.cols):
             yield Edge(a, b)
-
-    def directed_edges(self) -> Iterator[tuple[Vertex, Vertex]]:
-        for e in self.edges():
-            head = self.head_of(e)
-            yield (e.other(head), head)
-
-    def is_sink(self, v: Vertex) -> bool:
-        self._check_vertex(v)
-        return self._out[self.shape.index(v)] == 0
 
     def restrict(self, rows: Iterable[int], cols: Iterable[int]) -> "OrientedGrid":
         """Induced sub-orientation, re-indexed to |rows| x |cols|.
@@ -273,18 +207,7 @@ class OrientedGrid:
         for j in csel:
             if not 0 <= j < self.shape.cols:
                 raise GridError(f"column {j} out of bounds")
-        shape = GridShape(len(rsel), len(csel))
-        out = [0] * shape.vertex_count
-        for a, i in enumerate(rsel):
-            for b, j in enumerate(csel):
-                mask = self._out[self.shape.index((i, j))]
-                new = 0
-                for a2, i2 in enumerate(rsel):
-                    for b2, j2 in enumerate(csel):
-                        if mask >> self.shape.index((i2, j2)) & 1:
-                            new |= 1 << shape.index((a2, b2))
-                out[shape.index((a, b))] = new
-        return OrientedGrid._from_out_masks(shape, out)
+        return self._reindex(rsel, csel)
 
     def transpose(self) -> "OrientedGrid":
         return self.permute(range(self.shape.rows), range(self.shape.cols), swap=True)
@@ -302,38 +225,30 @@ class OrientedGrid:
             range(self.shape.cols)
         ):
             raise GridError("row/column orders must be permutations")
-        shape = (
-            GridShape(self.shape.cols, self.shape.rows)
-            if swap
-            else GridShape(self.shape.rows, self.shape.cols)
-        )
-        new_pos = {}
-        for a, i in enumerate(rord):
-            for b, j in enumerate(cord):
-                new_pos[(i, j)] = (b, a) if swap else (a, b)
-        out = [0] * shape.vertex_count
-        for (i, j), p in new_pos.items():
-            mask = self._out[self.shape.index((i, j))]
-            new = 0
-            while mask:
-                w = self.shape.vertex((mask & -mask).bit_length() - 1)
-                new |= 1 << shape.index(new_pos[w])
-                mask &= mask - 1
-            out[shape.index(p)] = new
-        return OrientedGrid._from_out_masks(shape, out)
+        return self._reindex(rord, cord, swap)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OrientedGrid)
-            and self.shape == other.shape
-            and self._out == other._out
-        )
+    def _reindex(self, rows: list[int], cols: list[int], swap: bool = False) -> "OrientedGrid":
+        """Vertex (p, q) of the result is input vertex (rows[p], cols[q]), or
+        vertex (q, p) with ``swap``; bit p of a line becomes bit rows[p]."""
+        col_lines, row_lines = self.lines
+        n = self.shape.cols
+        new_col, new_row = [], []
+        for i in rows:
+            for j in cols:
+                new_col.append(_select_bits(col_lines[i * n + j], rows))
+                new_row.append(_select_bits(row_lines[i * n + j], cols))
+        r, c = len(rows), len(cols)
+        if not swap:
+            return OrientedGrid._from_lines((r, c), (new_col, new_row))
+        # Transposed, vertex (q, p) runs along the old row on axis 0.
+        order = [p * c + q for q in range(c) for p in range(r)]
+        return OrientedGrid._from_lines(
+            (c, r), ([new_row[k] for k in order], [new_col[k] for k in order]))
 
-    def __hash__(self) -> int:
-        return hash((self.shape, self._out))
 
-    def __repr__(self) -> str:
-        return f"<OrientedGrid {self.shape.rows}x{self.shape.cols}>"
+def _select_bits(mask: int, order: Sequence[int]) -> int:
+    """Bit p of the result is bit ``order[p]`` of ``mask``."""
+    return sum(1 << p for p, x in enumerate(order) if mask >> x & 1)
 
 
 @dataclass(frozen=True)
@@ -349,14 +264,6 @@ class UsoViolation:
             f"subgrid rows={sorted(self.rows)} cols={sorted(self.cols)} "
             f"has {self.sink_count} sinks"
         )
-
-
-def _bits(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return frozenset(out)
 
 
 def check_validation_cap(m: int, n: int, max_coords: int = DEFAULT_VALIDATION_COORDS) -> None:
@@ -383,7 +290,7 @@ def validate_uso(
     """
     m, n = grid.shape.rows, grid.shape.cols
     check_validation_cap(m, n, max_coords)
-    hit = kernels.find_violation(m, n, grid._out)
+    hit = kernels.find_violation(m, n, grid.lines)
     if hit is None:
         return None
     rmask, cmask, sinks = hit
@@ -394,63 +301,63 @@ def is_uso(grid: OrientedGrid, max_coords: int = DEFAULT_VALIDATION_COORDS) -> b
     return validate_uso(grid, max_coords) is None
 
 
-def brute_force_sink(grid: OrientedGrid) -> Vertex:
+def brute_force_sink(grid: DOrientedGrid) -> tuple[int, ...]:
     """The unique zero-out-degree vertex, by full scan; no oracle accounting."""
-    sinks = [grid.shape.vertex(i) for i, mask in enumerate(grid._out) if mask == 0]
+    sinks = [k for k, masks in enumerate(zip(*grid.lines)) if not any(masks)]
     if len(sinks) != 1:
         raise NotUsoError(
-            f"not a USO: found {len(sinks)} sinks in the {grid.shape.rows}x"
-            f"{grid.shape.cols} grid"
+            f"not a USO: found {len(sinks)} sinks in the "
+            f"{'x'.join(map(str, grid.dims))} grid"
         )
-    return sinks[0]
+    return grid.vertex(sinks[0])
 
 
-def find_cycle(grid: OrientedGrid) -> list[Vertex] | None:
-    """A directed cycle of the orientation, or None when acyclic."""
-    cycle = _find_cycle_masks(grid._out, grid.shape.vertex_count)
-    if cycle is None:
-        return None
-    return [grid.shape.vertex(i) for i in cycle]
+def _line_indices(grid: DOrientedGrid, k: int, masks: Sequence[int]) -> list[int]:
+    """Indices of the neighbours of vertex k whose bits are set in ``masks``
+    (one mask per axis)."""
+    found = []
+    for size, stride, mask in zip(grid.dims, _strides(grid.dims), masks):
+        base = k - k // stride % size * stride
+        found += [base + c * stride for c in _bit_list(mask)]
+    return found
 
 
-def _find_cycle_masks(out: Sequence[int], nverts: int) -> list[int] | None:
-    remaining = (1 << nverts) - 1
-    outdeg = [m.bit_count() for m in out]
-    ready = [v for v in range(nverts) if outdeg[v] == 0]
-    heapq.heapify(ready)
-    in_masks = [0] * nverts
-    for v in range(nverts):
-        mask = out[v]
-        while mask:
-            in_masks[(mask & -mask).bit_length() - 1] |= 1 << v
-            mask &= mask - 1
-    removed = 0
+def _peel(grid: DOrientedGrid) -> tuple[list[int], list[int]]:
+    """Remove sinks one at a time, the smallest vertex index first.
+
+    Returns the removal order and the out-degrees left over: a vertex stays
+    (its out-degree stays positive) iff it lies on or leads to a cycle.
+    """
+    outdeg = [sum(mask.bit_count() for mask in masks) for masks in zip(*grid.lines)]
+    ready = [k for k, deg in enumerate(outdeg) if deg == 0]  # ascending: a heap
+    order = []
     while ready:
-        v = heapq.heappop(ready)
-        remaining &= ~(1 << v)
-        removed += 1
-        mask = in_masks[v]
-        while mask:
-            u = (mask & -mask).bit_length() - 1
+        k = heapq.heappop(ready)
+        order.append(k)
+        out = tuple(line[k] for line in grid.lines)
+        for u in _line_indices(grid, k, _in_masks(grid.vertex(k), grid.dims, out)):
             outdeg[u] -= 1
-            if outdeg[u] == 0:
+            if not outdeg[u]:
                 heapq.heappush(ready, u)
-            mask &= mask - 1
-    if removed == nverts:
+    return order, outdeg
+
+
+def find_cycle(grid: DOrientedGrid) -> list[tuple[int, ...]] | None:
+    """A directed cycle of the orientation, or None when acyclic."""
+    order, outdeg = _peel(grid)
+    if len(order) == grid.vertex_count:
         return None
-    # Every remaining vertex has an out-edge to a remaining vertex; walk until
-    # a repeat to extract a cycle.
-    start = (remaining & -remaining).bit_length() - 1
-    path = [start]
-    pos = {start: 0}
-    v = start
-    while True:
-        nxt_mask = out[v] & remaining
-        v = (nxt_mask & -nxt_mask).bit_length() - 1
-        if v in pos:
-            return path[pos[v] :]
-        pos[v] = len(path)
-        path.append(v)
+    # Every vertex left has an out-neighbour left; follow the smallest one
+    # until a vertex repeats.
+    k = next(k for k, deg in enumerate(outdeg) if deg)
+    path: list[int] = []
+    pos: dict[int, int] = {}
+    while k not in pos:
+        pos[k] = len(path)
+        path.append(k)
+        k = min(u for u in _line_indices(grid, k, [line[k] for line in grid.lines])
+                if outdeg[u])
+    return [grid.vertex(v) for v in path[pos[k] :]]
 
 
 def topological_values(grid: OrientedGrid) -> ValueMatrix:
@@ -461,32 +368,10 @@ def topological_values(grid: OrientedGrid) -> ValueMatrix:
     Raises :class:`CyclicOrientationError` carrying a witness cycle when the
     orientation is not acyclic.
     """
-    nverts = grid.shape.vertex_count
-    cycle = _find_cycle_masks(grid._out, nverts)
-    if cycle is not None:
-        raise CyclicOrientationError([grid.shape.vertex(i) for i in cycle])
-    # Peel sinks first (rank 0 = global-most sink side), deterministically by
-    # vertex index.
-    outdeg = [m.bit_count() for m in grid._out]
-    in_masks = [0] * nverts
-    for v in range(nverts):
-        mask = grid._out[v]
-        while mask:
-            in_masks[(mask & -mask).bit_length() - 1] |= 1 << v
-            mask &= mask - 1
-    ready = [v for v in range(nverts) if outdeg[v] == 0]
-    heapq.heapify(ready)
-    values = np.empty(nverts, dtype=np.float64)
-    rank = 0
-    while ready:
-        v = heapq.heappop(ready)
-        values[v] = rank
-        rank += 1
-        mask = in_masks[v]
-        while mask:
-            u = (mask & -mask).bit_length() - 1
-            outdeg[u] -= 1
-            if outdeg[u] == 0:
-                heapq.heappush(ready, u)
-            mask &= mask - 1
+    order, _ = _peel(grid)
+    if len(order) != grid.vertex_count:
+        raise CyclicOrientationError(find_cycle(grid))
+    # Rank 0 is the first sink peeled.
+    values = np.empty(grid.vertex_count, dtype=np.float64)
+    values[order] = np.arange(len(order))
     return ValueMatrix(values.reshape(grid.shape.rows, grid.shape.cols))

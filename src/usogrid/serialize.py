@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .dgrid import DOrientedGrid, brute_force_sink_ddim, ddim_edge_list
+from . import kernels
+from .dgrid import DOrientedGrid, ddim_edge_list
 from .errors import GridError
 from .gen import PointInstance
 from .grid import Direction, GridShape, OrientedGrid, ValueMatrix, brute_force_sink
@@ -24,10 +25,18 @@ def _v_out(v) -> list[int]:
     return [c + 1 for c in v]
 
 
+def _ints(xs, what: str) -> list[int]:
+    """A JSON list of integers; floats, strings and booleans are refused."""
+    if type(xs) is not list or not set(map(type, xs)) <= {int}:
+        raise GridError(f"{what} must be a list of integers, got {xs!r}")
+    return xs
+
+
 def _v_in(v) -> tuple[int, ...]:
-    coords = tuple(int(c) - 1 for c in v)
-    if any(c < 0 for c in coords):
-        raise GridError(f"serialized coordinates are 1-based, got {list(v)}")
+    """A 0-based vertex from a JSON list of 1-based integer coordinates."""
+    coords = tuple([c - 1 for c in v if type(c) is int]) if type(v) is list else None
+    if coords is None or len(coords) != len(v) or min(coords, default=0) < 0:
+        raise GridError(f"coordinates must be a list of 1-based integers, got {v!r}")
     return coords
 
 
@@ -36,34 +45,30 @@ def values_to_json(vm: ValueMatrix) -> dict:
     return {"shape": [m, n], "values": [list(map(float, row)) for row in vm.values]}
 
 
-def grid_to_json(grid: OrientedGrid) -> dict:
-    edges = []
-    for e in grid.edges():
-        edges.append(
-            {"a": _v_out(e.a), "b": _v_out(e.b), "dir": grid.direction_of(e).value}
-        )
-    return {"shape": [grid.shape.rows, grid.shape.cols], "edges": edges}
-
-
-def dgrid_to_json(grid: DOrientedGrid) -> dict:
-    edges = []
-    for u, w in ddim_edge_list(grid.dims):
-        direction = "ab" if grid.points_to(u, w) else "ba"
-        edges.append({"a": _v_out(u), "b": _v_out(w), "dir": direction})
-    return {"dims": list(grid.dims), "edges": edges}
+def grid_to_json(grid: DOrientedGrid) -> dict:
+    """An explicit grid as a file: ``"shape"`` and the kernels' edge order
+    for an :class:`OrientedGrid`, ``"dims"`` and :func:`ddim_edge_list`
+    order for any other grid."""
+    planar = isinstance(grid, OrientedGrid)
+    pairs = kernels.edge_list(*grid.dims) if planar else ddim_edge_list(grid.dims)
+    edges = [{"a": _v_out(a), "b": _v_out(b), "dir": "ab" if grid.points_to(a, b) else "ba"}
+             for a, b in pairs]
+    return {"shape" if planar else "dims": list(grid.dims), "edges": edges}
 
 
 @dataclass(frozen=True)
 class GridDoc:
     """A loaded or generated instance: a value matrix, or an explicit 2-D or
     d-dimensional orientation.  Solvers query ``source`` directly; only
-    :attr:`grid` expands a value matrix into the explicit O(V^2)-bit grid."""
+    :attr:`grid` expands a value matrix into an explicit line-mask grid."""
 
     source: ValueMatrix | OrientedGrid | DOrientedGrid
 
     @property
     def is_ddim(self) -> bool:
-        return isinstance(self.source, DOrientedGrid)
+        """True for a "dims" grid, of any dimension; an OrientedGrid is 2-D."""
+        return isinstance(self.source, DOrientedGrid) and not isinstance(
+            self.source, OrientedGrid)
 
     @property
     def values(self) -> ValueMatrix | None:
@@ -78,16 +83,14 @@ class GridDoc:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        if self.is_ddim:
-            return self.source.dims
-        return (self.source.shape.rows, self.source.shape.cols)
+        if isinstance(self.source, ValueMatrix):
+            return (self.source.shape.rows, self.source.shape.cols)
+        return self.source.dims
 
     def sink(self) -> tuple[int, ...]:
         """The unique sink by full scan (0-based); no oracle accounting."""
         if isinstance(self.source, ValueMatrix):
             return self.source.argmin_vertex()
-        if self.is_ddim:
-            return brute_force_sink_ddim(self.source)
         return brute_force_sink(self.source)
 
 
@@ -119,10 +122,10 @@ def _grid_source(doc: dict) -> ValueMatrix | OrientedGrid | DOrientedGrid:
     if "dims" in doc:
         if "edges" not in doc or "values" in doc or "shape" in doc:
             raise GridError('a d-dimensional grid file needs "dims" and "edges" only')
-        return DOrientedGrid(doc["dims"], _directed_pairs(doc["edges"]))
+        return DOrientedGrid(_ints(doc["dims"], '"dims"'), _directed_pairs(doc["edges"]))
     if "shape" not in doc:
         raise GridError('grid file needs a "shape" (or "dims") field')
-    m, n = (int(x) for x in doc["shape"])
+    m, n = _ints(doc["shape"], '"shape"')
     has_values = "values" in doc
     has_edges = "edges" in doc
     if has_values == has_edges:

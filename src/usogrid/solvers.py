@@ -26,11 +26,11 @@ from .grid import Vertex, _bits
 from .oracles import (
     InducedVertexOracle,
     InheritedVertexOracle,
+    PaddedEdgeOracle,
     PartitionPair,
     QueryCounter,
     TransposedVertexOracle,
     VertexAnswer,
-    pad_oracle,
 )
 
 
@@ -317,7 +317,7 @@ def _dc_any(view, schedule: KSchedule) -> Vertex:
         return _dc_square(view, a, schedule)
     side = max(a, b)
     # Padded sinks always land in the real region, so no translation needed.
-    return _dc_square(pad_oracle(view, side), side, schedule)
+    return _dc_square(PaddedEdgeOracle(view, side), side, schedule)
 
 
 def dc_edge_solve(
@@ -337,7 +337,7 @@ def dc_edge_solve(
             f"oracle shape {oracle.shape.rows}x{oracle.shape.cols} does not match {m}x{n}"
         )
     side = max(m, n)
-    work = oracle if m == n else pad_oracle(oracle, side)
+    work = oracle if m == n else PaddedEdgeOracle(oracle, side)
     sink = _dc_square(work, side, schedule)
     return sink, oracle.counter.snapshot()
 

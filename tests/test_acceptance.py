@@ -10,19 +10,17 @@ import numpy as np
 import pytest
 
 from usogrid import (
+    AdversaryVertexOracle,
     PartitionPair,
-    adversary_vertex_oracle,
     brute_force_sink,
     edge_oracle,
     enumerate_usos,
     gen_one_line,
     gen_separable_ddim,
-    orient_from_values,
     replay_transcript,
     validate_uso,
     vertex_oracle,
 )
-from usogrid.dgrid import brute_force_sink_ddim
 from usogrid.gen import contiguous_partitions, count_usos
 from usogrid.grid import GridShape, OrientedGrid
 from usogrid.solvers import (
@@ -103,7 +101,7 @@ def test_criterion_3_lower_meets_upper():
     """Adversary forces exactly m+n-1; its materialization is consistent."""
     for m in range(1, 17):
         for n in range(1, 17):
-            adv = adversary_vertex_oracle((m, n))
+            adv = AdversaryVertexOracle((m, n))
             sink, c = rectangular_solve(adv, m, n)
             assert c.vertex_queries == m + n - 1, (m, n, c.vertex_queries)
             grid = adv.materialize()
@@ -168,7 +166,7 @@ def test_criterion_5_induced_block_grids():
             instances = (
                 list(enumerate_usos((m, n)))
                 if exhaustive
-                else [orient_from_values(gen_one_line(m, n, seed)) for seed in range(5)]
+                else [OrientedGrid.from_values(gen_one_line(m, n, seed)) for seed in range(5)]
             )
             partitions = [
                 PartitionPair(rb, cb)
@@ -267,7 +265,7 @@ def test_criterion_7_ddim_recurrence():
             g = gen_separable_ddim(dims, seed)
             o = vertex_oracle(g, record=False)
             sink, c = ddim_solve(o, dims)
-            assert sink == brute_force_sink_ddim(g), (dims, seed)
+            assert sink == brute_force_sink(g), (dims, seed)
             assert c.vertex_queries <= bound, (dims, seed, c.vertex_queries, bound)
             runs += 1
     _report("7", f"{runs} solves over {len(dim_sets)} dimension sets, "

@@ -1,13 +1,15 @@
 """CLI surface: subcommands, exit codes, deterministic artifacts."""
 
+import hashlib
 import json
 
 import pytest
 
 from usogrid.cli import main
+from usogrid.dgrid import DOrientedGrid
 from usogrid.gen import gen_one_line
 from usogrid.grid import OrientedGrid
-from usogrid.serialize import load_grid_file
+from usogrid.serialize import grid_to_json, load_grid_file
 from usogrid.solvers import ALGORITHMS
 
 PLANAR_ALGS = sorted(a for a in ALGORITHMS if a != "ddim")
@@ -146,7 +148,12 @@ class TestMalformedFiles:
         b'{"shape": [1, 2], "edges": [{"a": [1, 1]}]}',
         b'5',
         b'\xff\xfe',
-    ], ids=["shape-3d", "non-number", "edge-without-b", "not-an-object", "not-utf8"])
+        b'{"shape": [1, 2], "edges": [{"a": [1, 1.9], "b": [1, 2], "dir": "ab"}]}',
+        b'{"shape": [1, 2], "edges": [{"a": [true, 1], "b": [1, "2"], "dir": "ab"}]}',
+        b'{"shape": [1.9, 2], "values": [[1, 2]]}',
+        b'{"dims": [2.7], "edges": [{"a": [1], "b": [2], "dir": "ab"}]}',
+    ], ids=["shape-3d", "non-number", "edge-without-b", "not-an-object", "not-utf8",
+            "float-coordinate", "bool-and-string-coordinates", "float-shape", "float-dims"])
     def test_validate_and_solve_exit_2(self, tmp_path, capsys, content):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
@@ -204,6 +211,16 @@ class TestSolve:
         assert code == 0
         report = json.loads(out)
         assert report["verdict"] == "ok" and report["bound"] == 15
+
+    def test_two_axis_dims_file_needs_ddim(self, tmp_path, capsys):
+        path = tmp_path / "d2.json"
+        grid = DOrientedGrid.from_values(gen_one_line(3, 4, 2).values)
+        path.write_text(json.dumps(grid_to_json(grid)))
+        assert "dims" in json.loads(path.read_text())
+        code, _, err = run(capsys, "solve", "--alg", "rect", "--grid", str(path))
+        assert code == 2 and "needs a 2-dimensional grid" in err
+        code, out, _ = run(capsys, "solve", "--alg", "ddim", "--grid", str(path))
+        assert code == 0 and json.loads(out)["verdict"] == "ok"
 
     def test_diagonal_requires_square(self, capsys):
         code, _, _ = run(capsys, "solve", "--alg", "diagonal", "--model",
@@ -310,3 +327,68 @@ class TestBench:
             run(capsys, "bench", "--alg", "rect", "--sizes", "4,8",
                 "--trials", "6", "--csv", str(path))
         assert a.read_bytes() == b.read_bytes()
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: sha256 of the standard output of each command, frozen from the line-mask
+#: answers commit.  They pin the edge-word orders (enumeration, edge words),
+#: the JSON edge order and the "shape"/"dims" choice of the grid writer.
+GOLDEN_STDOUT = {
+    "enumerate-2x3": (0,
+        "8ae73400fd77e31070ca6105078e4bf50e0a3fa04de59bcc80ffe11bff0c7248"),
+    "gen-index-3x3-0": (0,
+        "d2b34b8e49323e04f30f2980ac5cd6b14d5f5f827d09ab01dc7f8b9fac65506d"),
+    "gen-index-3x3-5795": (0,
+        "13e107aef93bfa67a3663ae069acb0a9b56ea0e22b58ba555de7b17078eb2323"),
+    "gen-separable-3x2x3": (0,
+        "f37698943086047ebbeee12d4a6db56d487d69698a8194f89befd088706696ea"),
+    "adversary-5x7-rect": (0,
+        "06ba48c293608cfe5d7cfdf3617772587cfc9c019dd37fca2acb5390c89a995b"),
+    "validate-four-cycle": (1,
+        "d3107f4b718b4335796b7d250e376d1ef72c7ebe7195b4c2a304c84bdb18c207"),
+    "solve-rect-edges": (0,
+        "9fb9efa0314119392f5d5d714a423272cf412599732b55c7cfbd2cb6054d4a83"),
+    "solve-ddim-dims": (0,
+        "f2cb7c04a1bc9113930a97524b3b54e7903b0aaa2de6923ae97d72e5f962c72e"),
+}
+
+
+class TestGoldenOutputs:
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        edges, dims, cycle = (tmp_path / n for n in ("edges.json", "dims.json", "cyc.json"))
+        run(capsys, "gen", "--model", "enumerate-index", "--shape", "3x3",
+            "--seed", "5795", "-o", str(edges))
+        run(capsys, "gen", "--model", "separable", "--shape", "3x2x3", "--seed", "5",
+            "-o", str(dims))
+        cycle.write_text(json.dumps({"shape": [2, 2], "edges": [
+            {"a": a, "b": b, "dir": d} for d, a, b in NON_USO_EDGES["four-cycle"]]}))
+        return {"edges": str(edges), "dims": str(dims), "cycle": str(cycle)}
+
+    def _commands(self, files):
+        return {
+            "enumerate-2x3": ["enumerate", "--shape", "2x3"],
+            "gen-index-3x3-0": ["gen", "--model", "enumerate-index", "--shape", "3x3",
+                                "--seed", "0"],
+            "gen-index-3x3-5795": ["gen", "--model", "enumerate-index", "--shape", "3x3",
+                                   "--seed", "5795"],
+            "gen-separable-3x2x3": ["gen", "--model", "separable", "--shape", "3x2x3",
+                                    "--seed", "5"],
+            "adversary-5x7-rect": ["adversary", "--shape", "5x7", "--alg", "rect"],
+            "validate-four-cycle": ["validate", files["cycle"]],
+            "solve-rect-edges": ["solve", "--alg", "rect", "--grid", files["edges"]],
+            "solve-ddim-dims": ["solve", "--alg", "ddim", "--grid", files["dims"]],
+        }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
+    def test_output_matches_frozen_hash(self, files, capsys, name):
+        code, out, err = run(capsys, *self._commands(files)[name])
+        if name.startswith("solve-"):
+            report = json.loads(out)
+            report.pop("wall_time")
+            out = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert (code, _sha(out)) == GOLDEN_STDOUT[name]
+        assert err == ""

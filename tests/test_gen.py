@@ -18,7 +18,6 @@ from usogrid import (
     gen_one_line,
     gen_separable_ddim,
     one_line_instance,
-    orient_from_values,
     pad_values_to_square,
     validate_uso,
 )
@@ -30,12 +29,12 @@ from conftest import USO_COUNTS
 
 class TestOrientFromValues:
     def test_uso_example(self):
-        g = orient_from_values(ValueMatrix([[1, 2], [3, 4]]))
+        g = OrientedGrid.from_values(ValueMatrix([[1, 2], [3, 4]]))
         assert validate_uso(g) is None
         assert brute_force_sink(g) == (0, 0)
 
     def test_acyclic_but_not_uso(self):
-        g = orient_from_values(ValueMatrix([[1, 3], [4, 2]]))
+        g = OrientedGrid.from_values(ValueMatrix([[1, 3], [4, 2]]))
         violation = validate_uso(g)
         assert violation is not None and violation.sink_count == 2
 
@@ -50,7 +49,7 @@ class TestOrientFromValues:
         steps_r = np.cumsum(rng.random(4) + 0.01)
         steps_c = np.cumsum(rng.random(5) + 0.01)
         vm = ValueMatrix(np.add.outer(steps_r, steps_c))
-        g = orient_from_values(vm)
+        g = OrientedGrid.from_values(vm)
         assert validate_uso(g) is None
         assert brute_force_sink(g) == (0, 0)
 
@@ -59,7 +58,7 @@ class TestOneLine:
     def test_midpoint_heights(self):
         inst = PointInstance(((-1, 0), (-1, 1)), ((1, 0), (1, 2)))
         assert inst.crossing_heights().tolist() == [[0.0, 1.0], [0.5, 1.5]]
-        g = orient_from_values(inst.value_matrix())
+        g = OrientedGrid.from_values(inst.value_matrix())
         assert brute_force_sink(g) == (0, 0)
 
     def test_general_position_slope(self):
@@ -87,7 +86,7 @@ class TestOneLine:
         shapes = [(1, 4), (2, 2), (3, 3), (2, 5), (4, 4), (6, 6), (5, 3)]
         for m, n in shapes:
             for seed in range(25):
-                g = orient_from_values(gen_one_line(m, n, seed))
+                g = OrientedGrid.from_values(gen_one_line(m, n, seed))
                 assert validate_uso(g) is None, (m, n, seed)
 
     def test_points_reproducible_from_instance(self):
@@ -147,8 +146,8 @@ class TestPadding:
         padded = pad_values_to_square(vm)
         s = max(m, n)
         assert padded.values.shape == (s, s)
-        g_orig = orient_from_values(vm)
-        g_pad = orient_from_values(padded)
+        g_orig = OrientedGrid.from_values(vm)
+        g_pad = OrientedGrid.from_values(padded)
         assert validate_uso(g_pad) is None
         assert brute_force_sink(g_pad) == brute_force_sink(g_orig)
         assert g_pad.restrict(range(m), range(n)) == g_orig

@@ -1,6 +1,7 @@
 """Grid representations, the exhaustive validator, and ground-truth ops."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,25 +18,24 @@ from usogrid import (
     brute_force_sink,
     enumerate_usos,
     find_cycle,
-    orient_from_values,
+    gen_one_line,
     topological_values,
     validate_uso,
 )
 from usogrid.dgrid import (
     DOrientedGrid,
-    brute_force_sink_ddim,
     ddim_edge_count,
     ddim_edge_list,
-    find_cycle_ddim,
     validate_uso_ddim,
 )
 from usogrid.grid import Direction, Edge, GridShape
+from usogrid.serialize import GridDoc
 
 from conftest import USO_COUNTS
 
 
 def grid_1234() -> OrientedGrid:
-    return orient_from_values(ValueMatrix([[1, 2], [3, 4]]))
+    return OrientedGrid.from_values(ValueMatrix([[1, 2], [3, 4]]))
 
 
 class TestEdgeAndDirection:
@@ -67,11 +67,11 @@ class TestOutNeighbors:
         assert g.out_neighbors((1, 1)) == {(1, 0), (0, 1)}
 
     def test_single_vertex_grid(self):
-        g = orient_from_values(ValueMatrix([[0.5]]))
+        g = OrientedGrid.from_values(ValueMatrix([[0.5]]))
         assert g.out_neighbors((0, 0)) == frozenset()
 
     def test_in_out_partition_neighbors(self):
-        g = orient_from_values(ValueMatrix([[3, 1, 4], [1.5, 9, 2.6], [5, 3.5, 8]]))
+        g = OrientedGrid.from_values(ValueMatrix([[3, 1, 4], [1.5, 9, 2.6], [5, 3.5, 8]]))
         for v in g.shape.vertices():
             ins, outs = g.in_neighbors(v), g.out_neighbors(v)
             assert ins | outs == {(v[0], j) for j in range(3) if j != v[1]} | {
@@ -82,7 +82,7 @@ class TestOutNeighbors:
 
 class TestValidator:
     def test_single_vertex_ok(self):
-        assert validate_uso(orient_from_values(ValueMatrix([[1]]))) is None
+        assert validate_uso(OrientedGrid.from_values(ValueMatrix([[1]]))) is None
 
     def test_four_cycle_violation_is_whole_grid(self, four_cycle):
         violation = validate_uso(four_cycle)
@@ -102,19 +102,19 @@ class TestValidator:
     def test_cap_refuses_loudly(self):
         vm = ValueMatrix(np.arange(64, dtype=float).reshape(8, 8))
         with pytest.raises(CapExceededError):
-            validate_uso(orient_from_values(vm), max_coords=14)
+            validate_uso(OrientedGrid.from_values(vm), max_coords=14)
         # explicit override allows it
-        assert validate_uso(orient_from_values(vm), max_coords=16) is None
+        assert validate_uso(OrientedGrid.from_values(vm), max_coords=16) is None
 
     def test_two_sink_matrix_rejected(self):
-        violation = validate_uso(orient_from_values(ValueMatrix([[1, 3], [4, 2]])))
+        violation = validate_uso(OrientedGrid.from_values(ValueMatrix([[1, 3], [4, 2]])))
         assert violation is not None and violation.sink_count == 2
 
 
 class TestBruteForceSink:
     def test_examples(self):
         assert brute_force_sink(grid_1234()) == (0, 0)
-        g = orient_from_values(ValueMatrix([[2, 1], [3, 4]]))
+        g = OrientedGrid.from_values(ValueMatrix([[2, 1], [3, 4]]))
         assert brute_force_sink(g) == (0, 1)
 
     def test_cycle_has_no_sink(self, four_cycle):
@@ -124,12 +124,12 @@ class TestBruteForceSink:
 
 class TestTopologicalValues:
     def test_single_vertex(self):
-        vm = topological_values(orient_from_values(ValueMatrix([[7]])))
+        vm = topological_values(OrientedGrid.from_values(ValueMatrix([[7]])))
         assert vm.values.shape == (1, 1)
 
     def test_round_trip(self):
         g = grid_1234()
-        assert orient_from_values(topological_values(g)) == g
+        assert OrientedGrid.from_values(topological_values(g)) == g
 
     def test_cycle_witness(self, four_cycle):
         with pytest.raises(CyclicOrientationError) as info:
@@ -142,9 +142,9 @@ class TestTopologicalValues:
     def test_round_trip_random(self, seed, m, n):
         rng = np.random.default_rng(seed)
         vm = ValueMatrix(rng.permutation(m * n).reshape(m, n).astype(float))
-        g = orient_from_values(vm)
+        g = OrientedGrid.from_values(vm)
         assert find_cycle(g) is None
-        assert orient_from_values(topological_values(g)) == g
+        assert OrientedGrid.from_values(topological_values(g)) == g
 
 
 class TestRestrict:
@@ -159,7 +159,7 @@ class TestRestrict:
 
     def test_composition(self):
         vm = ValueMatrix(np.arange(20, dtype=float).reshape(4, 5) ** 1.3)
-        g = orient_from_values(vm)
+        g = OrientedGrid.from_values(vm)
         once = g.restrict([0, 2, 3], [1, 2, 4]).restrict([0, 2], [0, 1])
         direct = g.restrict([0, 3], [1, 2])
         assert once == direct
@@ -173,7 +173,7 @@ class TestRestrict:
     def test_every_subgrid_of_uso_has_sink(self, seed):
         rng = np.random.default_rng(seed)
         vm = ValueMatrix(np.add.outer(rng.permutation(3) * 10.0, rng.permutation(4)))
-        g = orient_from_values(vm)
+        g = OrientedGrid.from_values(vm)
         for rows in itertools.chain.from_iterable(
             itertools.combinations(range(3), k) for k in (1, 2, 3)
         ):
@@ -216,7 +216,7 @@ class TestDdim:
             np.arange(8, dtype=float).reshape(2, 2, 2)
         )
         assert validate_uso_ddim(g) is None
-        assert brute_force_sink_ddim(g) == (0, 0, 0)
+        assert brute_force_sink(g) == (0, 0, 0)
 
     def test_cap(self):
         g = DOrientedGrid.from_values(np.arange(4**5, dtype=float).reshape([4] * 5))
@@ -230,7 +230,7 @@ class TestDdim:
             g = DOrientedGrid.from_edge_word((2, 2, 2), word)
             if validate_uso_ddim(g) is None:
                 total += 1
-                if find_cycle_ddim(g) is not None:
+                if find_cycle(g) is not None:
                     cyclic += 1
         assert total == 744  # frozen from this enumeration
         assert cyclic > 0
@@ -239,3 +239,45 @@ class TestDdim:
         g = DOrientedGrid.from_values(np.array([[1.0, 3.0], [4.0, 2.0]]))
         violation = validate_uso_ddim(g)
         assert violation is not None and violation.sink_count == 2
+
+
+class TestOneCore:
+    def test_planar_grid_is_the_two_axis_case(self):
+        vm = gen_one_line(3, 4, 1)
+        g = OrientedGrid.from_values(vm)
+        d = DOrientedGrid.from_values(vm.values)
+        assert isinstance(g, DOrientedGrid) and g.lines == d.lines and g.dims == d.dims
+        assert g != d and d != g
+        assert not GridDoc(g).is_ddim and GridDoc(d).is_ddim
+        assert brute_force_sink(g) == brute_force_sink(d) == vm.argmin_vertex()
+
+    def test_lines_hold_the_out_neighbours(self):
+        g = OrientedGrid.from_values(ValueMatrix([[3, 1, 4], [1.5, 9, 2.6], [5, 3.5, 8]]))
+        for v in g.shape.vertices():
+            k = g.shape.index(v)
+            rows = frozenset((i, v[1]) for i in range(3) if g.lines[0][k] >> i & 1)
+            cols = frozenset((v[0], j) for j in range(3) if g.lines[1][k] >> j & 1)
+            assert rows | cols == g.out_neighbors(v)
+
+
+class TestMemory:
+    """Storage grows with the number of edges, not with the square of the
+    vertex count (V^2 / 8 bytes would be 512 MiB and 51 MiB here)."""
+
+    @staticmethod
+    def _peak_bytes(build) -> int:
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_from_values_256x256(self):
+        vm = gen_one_line(256, 256, 0)
+        assert self._peak_bytes(lambda: OrientedGrid.from_values(vm)) < 64 * 2**20
+
+    def test_ddim_from_values_12x12x12x12(self):
+        rng = np.random.default_rng(3)
+        values = rng.permutation(12**4).reshape((12,) * 4).astype(float)
+        assert self._peak_bytes(lambda: DOrientedGrid.from_values(values)) < 32 * 2**20

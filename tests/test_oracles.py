@@ -9,30 +9,27 @@ from hypothesis import strategies as st
 
 from usogrid import (
     AdversaryError,
+    AdversaryVertexOracle,
     GridError,
+    InducedVertexOracle,
+    PaddedEdgeOracle,
     PartitionPair,
     SubSolverError,
     ValueMatrix,
-    adversary_vertex_oracle,
     brute_force_sink,
     edge_oracle,
     gen_one_line,
     gen_separable_ddim,
-    induced_vertex_oracle,
-    inherited_vertex_oracle,
     kernels,
-    orient_from_values,
-    pad_oracle,
     pad_values_to_square,
     replay_transcript,
     validate_uso,
     vertex_oracle,
 )
-from usogrid.dgrid import DOrientedGrid, brute_force_sink_ddim, ddim_edge_count
+from usogrid.dgrid import DOrientedGrid, ddim_edge_count
 from usogrid.gen import contiguous_partitions
-from usogrid.grid import Edge, OrientedGrid
+from usogrid.grid import Edge, GridShape, OrientedGrid
 from usogrid.oracles import (
-    DdimVertexOracle,
     ExplicitVertexOracle,
     InheritedVertexOracle,
     TransposedVertexOracle,
@@ -44,7 +41,7 @@ from usogrid.solvers import dc_edge_solve, rectangular_solve, walk_solve
 
 
 def grid_1234():
-    return orient_from_values(ValueMatrix([[1, 2], [3, 4]]))
+    return OrientedGrid.from_values(ValueMatrix([[1, 2], [3, 4]]))
 
 
 class TestVertexOracle:
@@ -65,7 +62,7 @@ class TestVertexOracle:
 
     def test_value_and_explicit_backends_agree(self):
         vm = gen_one_line(3, 4, 5)
-        g = orient_from_values(vm)
+        g = OrientedGrid.from_values(vm)
         ov, oe = ValueVertexOracle(vm), ExplicitVertexOracle(g)
         for v in g.shape.vertices():
             assert ov.query(v) == oe.query(v)
@@ -100,7 +97,7 @@ class TestEdgeOracle:
 
     def test_never_contradicts_vertex_oracle(self):
         vm = gen_one_line(4, 3, 11)
-        g = orient_from_values(vm)
+        g = OrientedGrid.from_values(vm)
         ov, oe = vertex_oracle(g), edge_oracle(vm)
         for v in g.shape.vertices():
             answer = ov.query(v)
@@ -126,13 +123,13 @@ class TestTranscriptReplay:
     def test_replay_detects_mismatch(self):
         o = vertex_oracle(grid_1234())
         o.query((1, 1))
-        other = orient_from_values(ValueMatrix([[4, 3], [2, 1]]))
+        other = OrientedGrid.from_values(ValueMatrix([[4, 3], [2, 1]]))
         assert not replay_transcript(o.transcript, vertex_oracle(other))
 
 
 class TestAdversary:
     def test_1x1_single_forced_query(self):
-        adv = adversary_vertex_oracle((1, 1))
+        adv = AdversaryVertexOracle((1, 1))
         answer = adv.query((0, 0))
         assert answer.outgoing == frozenset()
         assert adv.counter.vertex_queries == 1
@@ -140,7 +137,7 @@ class TestAdversary:
     def test_2x2_any_strategy_needs_three(self):
         # all 4 first-query choices, then optimal play: 3 distinct queries
         for first in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            adv = adversary_vertex_oracle((2, 2))
+            adv = AdversaryVertexOracle((2, 2))
             a1 = adv.query(first)
             assert a1.outgoing  # never a sink on the first query
             # the other row is now the survivor; query both of its vertices
@@ -151,7 +148,7 @@ class TestAdversary:
             assert adv.counter.vertex_queries == 3
 
     def test_frozen_row_revisits_give_nothing_new(self):
-        adv = adversary_vertex_oracle((3, 3))
+        adv = AdversaryVertexOracle((3, 3))
         adv.query((0, 1))
         again = adv.query((0, 2))  # same frozen row, different vertex
         assert (0, 1) in again.outgoing  # row sink is at column 1
@@ -162,7 +159,7 @@ class TestAdversary:
 
     @pytest.mark.parametrize("m,n", [(1, 5), (5, 1), (2, 2), (3, 4), (4, 3), (6, 6)])
     def test_materialize_validates_and_replays(self, m, n):
-        adv = adversary_vertex_oracle((m, n))
+        adv = AdversaryVertexOracle((m, n))
         sink, counter = rectangular_solve(adv, m, n)
         assert counter.vertex_queries == m + n - 1
         grid = adv.materialize()
@@ -171,13 +168,13 @@ class TestAdversary:
         assert replay_transcript(adv.transcript, vertex_oracle(grid))
 
     def test_materialize_before_resolution_fails(self):
-        adv = adversary_vertex_oracle((2, 2))
+        adv = AdversaryVertexOracle((2, 2))
         adv.query((0, 0))
         with pytest.raises(AdversaryError):
             adv.materialize()
 
     def test_walk_strategy_also_replays(self):
-        adv = adversary_vertex_oracle((4, 5))
+        adv = AdversaryVertexOracle((4, 5))
         sink, counter = walk_solve(adv)
         assert counter.vertex_queries == 4 + 5 - 1
         grid = adv.materialize()
@@ -226,10 +223,10 @@ class TestPartitionPair:
 class TestInducedOracle:
     def test_singleton_partition_mirrors_base_grid(self):
         vm = gen_one_line(3, 3, 7)
-        g = orient_from_values(vm)
+        g = OrientedGrid.from_values(vm)
         base = edge_oracle(vm)
         parts = PartitionPair.near_equal(3, 3, 3, 3)
-        ind = induced_vertex_oracle(base, parts, _brute_sub_solver)
+        ind = InducedVertexOracle(base, parts, _brute_sub_solver)
         ov = vertex_oracle(g)
         for v in g.shape.vertices():
             before = base.counter.edge_queries
@@ -242,7 +239,7 @@ class TestInducedOracle:
         vm = gen_one_line(4, 4, 3)
         base = edge_oracle(vm)
         parts = PartitionPair.near_equal(4, 4, 1, 1)
-        ind = induced_vertex_oracle(base, parts, _brute_sub_solver)
+        ind = InducedVertexOracle(base, parts, _brute_sub_solver)
         answer = ind.query((0, 0))
         assert answer.outgoing == frozenset()
         assert ind.block_sink((0, 0)) == vm.argmin_vertex()
@@ -254,7 +251,7 @@ class TestInducedOracle:
         vm = gen_one_line(n, n, 13)
         base = edge_oracle(vm, record=False)
         parts = PartitionPair.near_equal(n, n, k, k)
-        ind = induced_vertex_oracle(base, parts, _brute_sub_solver, record=False)
+        ind = InducedVertexOracle(base, parts, _brute_sub_solver, record=False)
         for x in range(k):
             for y in range(k):
                 before = base.counter.edge_queries
@@ -266,7 +263,7 @@ class TestInducedOracle:
         # antisymmetric and total on every block row/column
         for seed in range(5):
             vm = gen_one_line(4, 5, seed)
-            g = orient_from_values(vm)
+            g = OrientedGrid.from_values(vm)
             parts = PartitionPair.near_equal(4, 5, 2, 3)
             sinks = {}
             for x, (r0, r1) in enumerate(parts.row_blocks):
@@ -296,10 +293,10 @@ class TestInducedOracle:
         # build the block grid explicitly from block sinks, then compare
         # oracle answers against it
         vm = gen_one_line(5, 4, 21)
-        g = orient_from_values(vm)
+        g = OrientedGrid.from_values(vm)
         parts = PartitionPair.near_equal(5, 4, 2, 2)
         base = edge_oracle(vm)
-        ind = induced_vertex_oracle(base, parts, _brute_sub_solver)
+        ind = InducedVertexOracle(base, parts, _brute_sub_solver)
         edges = []
         for x, (r0, r1) in enumerate(parts.row_blocks):
             for y, (c0, c1) in enumerate(parts.col_blocks):
@@ -319,8 +316,6 @@ class TestInducedOracle:
                         (r, u[1]) in g.out_neighbors(u) for r in range(e0, e1)
                     )
                     edges.append(((x, y), (x2, y)) if outgoing else ((x2, y), (x, y)))
-        from usogrid.grid import GridShape, OrientedGrid
-
         h = OrientedGrid(GridShape(2, 2), edges)
         assert validate_uso(h) is None
         hv = vertex_oracle(h)
@@ -336,7 +331,7 @@ class TestInducedOracle:
             sink = _brute_sub_solver(view)
             return ((sink[0] + 1) % view.shape.rows, sink[1])
 
-        ind = induced_vertex_oracle(base, parts, liar)
+        ind = InducedVertexOracle(base, parts, liar)
         with pytest.raises(SubSolverError):
             ind.query((0, 0))
 
@@ -345,14 +340,14 @@ class TestPadOracle:
     def test_square_base_passthrough(self):
         vm = gen_one_line(3, 3, 1)
         base = edge_oracle(vm)
-        padded = pad_oracle(base, 3)
+        padded = PaddedEdgeOracle(base, 3)
         assert padded.query_edge((0, 1), (2, 1)) == base.query_edge((0, 1), (2, 1))
         assert base.counter.edge_queries == 1
 
     def test_synthetic_edges_cost_nothing(self):
         vm = gen_one_line(2, 4, 5)
         base = edge_oracle(vm)
-        padded = pad_oracle(base, 4)
+        padded = PaddedEdgeOracle(base, 4)
         assert padded.query_edge((0, 0), (3, 0)) == (0, 0)  # toward the real vertex
         assert padded.query_edge((2, 1), (3, 1)) == (2, 1)  # lower padding key
         assert base.counter.edge_queries == 0
@@ -360,8 +355,8 @@ class TestPadOracle:
     def test_matches_padded_value_matrix(self):
         for m, n, seed in [(3, 5, 0), (5, 2, 4), (1, 3, 8)]:
             vm = gen_one_line(m, n, seed)
-            gp = orient_from_values(pad_values_to_square(vm))
-            padded = pad_oracle(edge_oracle(vm), max(m, n))
+            gp = OrientedGrid.from_values(pad_values_to_square(vm))
+            padded = PaddedEdgeOracle(edge_oracle(vm), max(m, n))
             for e in gp.edges():
                 assert padded.query_edge(e.a, e.b) == gp.head_of(e)
 
@@ -374,7 +369,7 @@ class TestPadOracle:
 
     def test_side_too_small(self):
         with pytest.raises(GridError):
-            pad_oracle(edge_oracle(gen_one_line(2, 4, 0)), 3)
+            PaddedEdgeOracle(edge_oracle(gen_one_line(2, 4, 0)), 3)
 
 
 class TestInheritedOracle:
@@ -386,7 +381,7 @@ class TestInheritedOracle:
             view.query(())
             return ()
 
-        inh = inherited_vertex_oracle(base, (0, 1), zero_dim_solver)
+        inh = InheritedVertexOracle(base, (0, 1), zero_dim_solver)
         before = base.counter.vertex_queries
         answer = inh.query((1, 2))
         assert base.counter.vertex_queries - before == 1
@@ -407,7 +402,7 @@ class TestInheritedOracle:
                     return v
                 v = min(answer.outgoing)
 
-        inh = inherited_vertex_oracle(base, (0, 1), line_walk)
+        inh = InheritedVertexOracle(base, (0, 1), line_walk)
         for x in range(dims[0]):
             for y in range(dims[1]):
                 before = base.counter.vertex_queries
@@ -427,8 +422,8 @@ class TestInheritedOracle:
                     return v
                 v = min(answer.outgoing)
 
-        inh = inherited_vertex_oracle(base, (0, 1), line_walk)
-        gsink = brute_force_sink_ddim(g)
+        inh = InheritedVertexOracle(base, (0, 1), line_walk)
+        gsink = brute_force_sink(g)
         answer = inh.query((gsink[0], gsink[1]))
         assert answer.outgoing == frozenset()
         assert inh.block_sink((gsink[0], gsink[1])) == gsink
@@ -437,13 +432,11 @@ class TestInheritedOracle:
 def test_lemma3_style_sweep_materialized_block_grids():
     # For sampled USOs and every 2-3 block contiguous partition pair, the
     # explicit block grid passes validation and its sink block holds the sink.
-    from usogrid.grid import GridShape, OrientedGrid
-
     shapes = [(2, 2), (2, 3), (3, 3), (4, 3), (4, 4)]
     for m, n in shapes:
         for seed in range(3):
             vm = gen_one_line(m, n, seed)
-            g = orient_from_values(vm)
+            g = OrientedGrid.from_values(vm)
             gsink = brute_force_sink(g)
             for k in (2, 3):
                 for l in (2, 3):
@@ -453,7 +446,7 @@ def test_lemma3_style_sweep_materialized_block_grids():
                         for cblocks in contiguous_partitions(n, l):
                             parts = PartitionPair(rblocks, cblocks)
                             base = edge_oracle(vm, record=False)
-                            ind = induced_vertex_oracle(
+                            ind = InducedVertexOracle(
                                 base, parts, _brute_sub_solver, record=False
                             )
                             edges = []
@@ -506,7 +499,7 @@ class TestLineMaskAnswers:
     @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 10**6))
     def test_values_and_transposed(self, m, n, seed):
         vm = gen_one_line(m, n, seed)
-        g = orient_from_values(vm)
+        g = OrientedGrid.from_values(vm)
         gt = g.transpose()
         values = ValueVertexOracle(vm)
         transposed = TransposedVertexOracle(ValueVertexOracle(vm))
@@ -520,7 +513,7 @@ class TestLineMaskAnswers:
     def test_ddim_and_fixed_axes(self, dims, raw, seed):
         dims = tuple(dims)
         g = DOrientedGrid.from_edge_word(dims, raw % (1 << ddim_edge_count(dims)))
-        base = DdimVertexOracle(g)
+        base = ExplicitVertexOracle(g)
         rng = random.Random(seed)
         for v in g.vertices():
             _check_answer(base.query(v), *_neighbour_sets(g, v))
@@ -564,7 +557,7 @@ class TestLineMaskAnswers:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 5), st.randoms(use_true_random=False))
     def test_adversary(self, m, n, rng):
-        oracle = adversary_vertex_oracle((m, n))
+        oracle = AdversaryVertexOracle((m, n))
         vertices = [(i, j) for i in range(m) for j in range(n)]
         rng.shuffle(vertices)
         answers = [oracle.query(v) for v in vertices]

@@ -7,18 +7,17 @@ import pytest
 
 from usogrid import (
     GridError,
+    OrientedGrid,
     PointInstance,
     ValueMatrix,
     gen_one_line,
     gen_separable_ddim,
     one_line_instance,
-    orient_from_values,
     replay_transcript,
     vertex_oracle,
     edge_oracle,
 )
 from usogrid.serialize import (
-    dgrid_to_json,
     grid_to_json,
     load_grid,
     point_instance_from_json,
@@ -34,27 +33,27 @@ class TestGridJson:
         vm = gen_one_line(3, 4, 2)
         doc = load_grid(json.loads(json.dumps(values_to_json(vm))))
         assert doc.values == vm
-        assert doc.grid == orient_from_values(vm)
+        assert doc.grid == OrientedGrid.from_values(vm)
 
     def test_edges_round_trip(self):
-        g = orient_from_values(gen_one_line(3, 3, 5))
+        g = OrientedGrid.from_values(gen_one_line(3, 3, 5))
         doc = load_grid(grid_to_json(g))
         assert doc.grid == g and doc.values is None
 
     def test_coordinates_are_one_based(self):
-        g = orient_from_values(ValueMatrix([[1, 2]]))
+        g = OrientedGrid.from_values(ValueMatrix([[1, 2]]))
         edges = grid_to_json(g)["edges"]
         assert edges == [{"a": [1, 1], "b": [1, 2], "dir": "ba"}]
 
     def test_ddim_round_trip(self):
         g = gen_separable_ddim((2, 3, 2), 4)
-        doc = load_grid(dgrid_to_json(g))
+        doc = load_grid(grid_to_json(g))
         assert doc.is_ddim and doc.grid == g
 
     def test_exactly_one_of_values_edges(self):
         vm = gen_one_line(2, 2, 0)
         doc = values_to_json(vm)
-        doc["edges"] = grid_to_json(orient_from_values(vm))["edges"]
+        doc["edges"] = grid_to_json(OrientedGrid.from_values(vm))["edges"]
         with pytest.raises(GridError):
             load_grid(doc)
         with pytest.raises(GridError):

@@ -8,9 +8,9 @@ import pytest
 
 from usogrid import (
     GridError,
+    AdversaryVertexOracle,
     NotUsoError,
     ValueMatrix,
-    adversary_vertex_oracle,
     brute_force_sink,
     edge_oracle,
     enumerate_usos,
@@ -18,10 +18,9 @@ from usogrid import (
     gen_separable_ddim,
     kernels,
     oracles,
-    orient_from_values,
     vertex_oracle,
 )
-from usogrid.dgrid import DOrientedGrid, brute_force_sink_ddim, ddim_edge_count
+from usogrid.dgrid import DOrientedGrid, ddim_edge_count
 from usogrid.grid import OrientedGrid
 from usogrid.oracles import TransposedVertexOracle
 from usogrid.solvers import (
@@ -45,7 +44,7 @@ from usogrid.solvers import (
 
 
 def grid_2134():
-    return orient_from_values(ValueMatrix([[2, 1], [3, 4]]))
+    return OrientedGrid.from_values(ValueMatrix([[2, 1], [3, 4]]))
 
 
 class TestNoteQuery:
@@ -134,7 +133,7 @@ class TestEliminatedLines:
 
 class TestDiagonalSolve:
     def test_1x1_takes_one_query(self):
-        o = vertex_oracle(orient_from_values(ValueMatrix([[3]])))
+        o = vertex_oracle(OrientedGrid.from_values(ValueMatrix([[3]])))
         sink, counter = diagonal_solve(o, 1)
         assert sink == (0, 0) and counter.vertex_queries == 1
 
@@ -163,7 +162,7 @@ class TestDiagonalSolve:
 class TestRectangularSolve:
     def test_row_grid_exact_at_adversary(self):
         for n in (2, 5, 9):
-            adv = adversary_vertex_oracle((1, n))
+            adv = AdversaryVertexOracle((1, n))
             sink, counter = rectangular_solve(adv, 1, n)
             assert counter.vertex_queries == n
 
@@ -193,7 +192,7 @@ class TestRectangularSolve:
     def test_sink_never_eliminated_and_monotone(self):
         # replant the engine by hand to watch the eliminated set grow
         vm = gen_one_line(6, 6, 3)
-        g = orient_from_values(vm)
+        g = OrientedGrid.from_values(vm)
         truth = brute_force_sink(g)
         state = EliminationState(6, 6)
         o = vertex_oracle(g)
@@ -212,21 +211,21 @@ class TestRectangularSolve:
 class TestAdversaryMeetsBounds:
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (4, 4), (5, 7), (8, 3)])
     def test_rect_exact(self, m, n):
-        adv = adversary_vertex_oracle((m, n))
+        adv = AdversaryVertexOracle((m, n))
         _, counter = rectangular_solve(adv, m, n)
         assert counter.vertex_queries == rectangular_bound(m, n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
     def test_diagonal_exact(self, n):
-        adv = adversary_vertex_oracle((n, n))
+        adv = AdversaryVertexOracle((n, n))
         _, counter = diagonal_solve(adv, n)
         assert counter.vertex_queries == diagonal_bound(n)
 
     def test_walk_and_random_edge_forced(self):
-        adv = adversary_vertex_oracle((5, 4))
+        adv = AdversaryVertexOracle((5, 4))
         _, counter = walk_solve(adv)
         assert counter.vertex_queries == 8
-        adv = adversary_vertex_oracle((5, 4))
+        adv = AdversaryVertexOracle((5, 4))
         _, counter = random_edge_solve(adv, seed=11)
         assert counter.vertex_queries >= 8
 
@@ -288,7 +287,7 @@ class TestDdimSolve:
         g = gen_separable_ddim((5,), 2)
         o = vertex_oracle(g)
         sink, counter = ddim_solve(o, (5,))
-        assert sink == brute_force_sink_ddim(g)
+        assert sink == brute_force_sink(g)
         assert counter.vertex_queries <= 5
 
     def test_two_dims_matches_rectangular(self):
@@ -300,7 +299,7 @@ class TestDdimSolve:
             sink_d, counter_d = ddim_solve(od, (3, 4))
             orect = vertex_oracle(g)
             sink_r, counter_r = rectangular_solve(orect, 3, 4)
-            assert sink_d == sink_r == brute_force_sink_ddim(g)
+            assert sink_d == sink_r == brute_force_sink(g)
             assert counter_d.vertex_queries == counter_r.vertex_queries
             assert [r[1] for r in od.transcript] == [r[1] for r in orect.transcript]
             assert counter_d.vertex_queries <= rectangular_bound(3, 4)
@@ -310,7 +309,7 @@ class TestDdimSolve:
             g = gen_separable_ddim((3, 3, 3), seed)
             o = vertex_oracle(g)
             sink, counter = ddim_solve(o, (3, 3, 3))
-            assert sink == brute_force_sink_ddim(g)
+            assert sink == brute_force_sink(g)
             assert counter.vertex_queries <= (3 + 3 - 1) * 3
 
     def test_bound_function(self):
