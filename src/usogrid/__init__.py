@@ -53,7 +53,6 @@ from .oracles import (
 from .report import RunReport
 from .solvers import (
     DEFAULT_SCHEDULE,
-    EliminationRecord,
     EliminationState,
     KSchedule,
     dc_edge_bound,

@@ -14,9 +14,9 @@ import sys
 import time
 
 from . import gen, serialize
-from .dgrid import validate_uso_ddim
+from .dgrid import DEFAULT_SUBGRID_CAP, validate_uso_ddim
 from .errors import CapExceededError, NotUsoError
-from .grid import OrientedGrid, check_validation_cap, validate_uso
+from .grid import DEFAULT_VALIDATION_COORDS, OrientedGrid, check_validation_cap, validate_uso
 from .oracles import AdversaryVertexOracle, edge_oracle, replay_transcript, vertex_oracle
 from .report import CSV_HEADER, RunReport
 from .solvers import ALGORITHMS
@@ -252,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the unique-sink property of a grid file")
     p.add_argument("grid", help="grid JSON path")
-    p.add_argument("--max-coords", type=int, default=14,
-                   help="validator cap on m + n (default 14)")
-    p.add_argument("--max-subgrids", type=int, default=100_000,
+    p.add_argument("--max-coords", type=int, default=DEFAULT_VALIDATION_COORDS,
+                   help=f"validator cap on m + n (default {DEFAULT_VALIDATION_COORDS})")
+    p.add_argument("--max-subgrids", type=int, default=DEFAULT_SUBGRID_CAP,
                    help="d-dimensional validator cap on subgrid count")
 
     p = sub.add_parser("enumerate", help="stream every USO of a small shape")

@@ -8,6 +8,15 @@ stored as line masks, the bits a vertex query answers: bit c of
 on axis a (all other coordinates equal).  That is one bit per end of every
 edge, so storage grows with the number of edges.  The 2-D grid of
 :mod:`usogrid.grid` is the d = 2 case.
+
+Oracle sources.  :mod:`usogrid.oracles` reads an orientation through two
+private methods that every source defines, a grid here and a value matrix
+(:class:`usogrid.grid.ValueMatrix`) alike: ``_out_lines(v)``, the out line
+masks at v (what a vertex query reveals), and ``_points_to(tail, head)``,
+whether that edge is directed tail -> head (what an edge query reveals).
+Both raise :class:`GridError` for a vertex out of bounds, of the wrong arity,
+or a pair that is not an edge.  A source also carries ``dims`` and
+``shape``, its 2-D :class:`usogrid.grid.GridShape` or None.
 """
 
 from __future__ import annotations
@@ -91,6 +100,15 @@ def _pack_rows(flags: np.ndarray) -> list[int]:
     return [int.from_bytes(data[r : r + width], "little") for r in range(0, len(data), width)]
 
 
+def _check_values(arr: np.ndarray) -> None:
+    """Refuse values that leave an edge unoriented: entries that are not
+    finite (NaN compares neither way) or not pairwise distinct."""
+    if not np.all(np.isfinite(arr)):
+        raise GridError("value matrix entries must be finite")
+    if np.unique(arr).size != arr.size:
+        raise GridError("value matrix entries must be pairwise distinct")
+
+
 def _value_lines(values: np.ndarray) -> list[list[int]]:
     """Line masks orienting every line pair from the larger value to the
     smaller: one numpy comparison per slab of lines, in vertex order."""
@@ -117,6 +135,9 @@ class DOrientedGrid:
     """
 
     __slots__ = ("dims", "lines")
+
+    #: No 2-D shape: :class:`usogrid.grid.OrientedGrid` sets one per grid.
+    shape = None
 
     def __init__(self, dims: Sequence[int], directed_edges: Iterable[tuple[DVertex, DVertex]]):
         """Build from (tail, head) pairs; every grid edge must appear exactly once."""
@@ -155,8 +176,7 @@ class DOrientedGrid:
     def from_values(cls, values: np.ndarray) -> "DOrientedGrid":
         """Orient every line pair from the larger entry to the smaller."""
         arr = np.asarray(values, dtype=np.float64)
-        if np.unique(arr).size != arr.size:
-            raise GridError("values must be pairwise distinct")
+        _check_values(arr)
         return cls._from_lines(_check_dims(arr.shape), _value_lines(arr))
 
     @classmethod
@@ -213,27 +233,29 @@ class DOrientedGrid:
                 if x != v[axis]:
                     yield v[:axis] + (x,) + v[axis + 1 :]
 
+    def _out_lines(self, v: DVertex) -> tuple[int, ...]:
+        """The out line masks at v, one per axis."""
+        self._check_vertex(v)
+        k = self.index(v)
+        return tuple(line[k] for line in self.lines)
+
     def out_neighbors(self, v: DVertex) -> frozenset[DVertex]:
         """All w adjacent to v with the edge directed v -> w; empty iff v is a sink."""
-        self._check_vertex(v)
-        k = self.index(v)
-        return _masks_to_vertices(v, tuple(line[k] for line in self.lines))
+        return _masks_to_vertices(v, self._out_lines(v))
 
     def in_neighbors(self, v: DVertex) -> frozenset[DVertex]:
-        self._check_vertex(v)
-        k = self.index(v)
-        out = tuple(line[k] for line in self.lines)
-        return _masks_to_vertices(v, _in_masks(v, self.dims, out))
+        return _masks_to_vertices(v, _in_masks(v, self.dims, self._out_lines(v)))
 
     def is_sink(self, v: DVertex) -> bool:
-        self._check_vertex(v)
-        k = self.index(v)
-        return not any(line[k] for line in self.lines)
+        return not any(self._out_lines(v))
 
-    def points_to(self, tail: DVertex, head: DVertex) -> bool:
+    def _points_to(self, tail: DVertex, head: DVertex) -> bool:
         """Whether the edge tail-head is directed tail -> head."""
         axis = self._edge_axis(tail, head)
         return bool(self.lines[axis][self.index(tail)] >> head[axis] & 1)
+
+    #: The public name, for callers outside the oracle protocol.
+    points_to = _points_to
 
     def __eq__(self, other) -> bool:
         return (
@@ -284,7 +306,3 @@ def validate_uso_ddim(
         if sinks != 1:
             return DUsoViolation(tuple(_bits(mask) for mask in masks), sinks)
     return None
-
-
-def is_uso_ddim(grid: DOrientedGrid, max_subgrids: int = DEFAULT_SUBGRID_CAP) -> bool:
-    return validate_uso_ddim(grid, max_subgrids) is None

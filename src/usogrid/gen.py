@@ -20,7 +20,14 @@ import numpy as np
 from . import kernels
 from .dgrid import DOrientedGrid
 from .errors import CapExceededError, GridError, NotUsoError
-from .grid import GridShape, OrientedGrid, ValueMatrix, validate_uso
+from .grid import (
+    DEFAULT_VALIDATION_COORDS,
+    GridShape,
+    OrientedGrid,
+    ValueMatrix,
+    check_validation_cap,
+    validate_uso,
+)
 
 DEFAULT_ENUMERATION_EDGES = 20
 
@@ -112,7 +119,7 @@ def count_usos(
 
 
 def pad_values_to_square(
-    vm: ValueMatrix, validate: bool = True, max_coords: int = 14
+    vm: ValueMatrix, validate: bool = True, max_coords: int = DEFAULT_VALIDATION_COORDS
 ) -> ValueMatrix:
     """Append dominated rows or columns until the matrix is square.
 
@@ -126,6 +133,7 @@ def pad_values_to_square(
     """
     m, n = vm.values.shape
     if validate:
+        check_validation_cap(m, n, max_coords)  # before building the grid
         violation = validate_uso(OrientedGrid.from_values(vm), max_coords)
         if violation is not None:
             raise NotUsoError(f"input does not induce a USO: {violation}")

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import kernels
-from .dgrid import DOrientedGrid, _bits, _in_masks, _strides, _value_lines
+from .dgrid import DOrientedGrid, _bits, _check_values, _in_masks, _strides, _value_lines
 from .errors import CapExceededError, CyclicOrientationError, GridError, NotUsoError
 from .kernels import _bit_list
 
@@ -91,10 +91,6 @@ class Edge:
             object.__setattr__(self, "a", b)
             object.__setattr__(self, "b", a)
 
-    @property
-    def is_row_edge(self) -> bool:
-        return self.a[0] == self.b[0]
-
     def other(self, v: Vertex) -> Vertex:
         if v == self.a:
             return self.b
@@ -103,29 +99,54 @@ class Edge:
         raise GridError(f"{v} is not an endpoint of {self}")
 
 
+def _bool_mask(flags: np.ndarray) -> int:
+    """Bit c set iff ``flags[c]``."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 class ValueMatrix:
     """m x n matrix of pairwise-distinct finite numbers.
 
     Comparing entries along rows and columns induces an (acyclic) orientation
-    with edges pointing from the larger value to the smaller one.
+    with edges pointing from the larger value to the smaller one.  A value
+    matrix is an oracle source (see :mod:`usogrid.dgrid`): it answers vertex
+    and edge queries by comparing entries, never building the explicit grid.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "dims")
 
     def __init__(self, values) -> None:
         arr = np.array(values, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:
             raise GridError("value matrix must be 2-dimensional and nonempty")
-        if not np.all(np.isfinite(arr)):
-            raise GridError("value matrix entries must be finite")
-        if np.unique(arr).size != arr.size:
-            raise GridError("value matrix entries must be pairwise distinct")
+        _check_values(arr)
         arr.setflags(write=False)
         self.values = arr
+        self.dims = arr.shape
 
     @property
     def shape(self) -> GridShape:
-        return GridShape(*self.values.shape)
+        return GridShape(*self.dims)
+
+    def _contains(self, v: Vertex) -> bool:
+        m, n = self.dims
+        return len(v) == 2 and 0 <= v[0] < m and 0 <= v[1] < n
+
+    def _out_lines(self, v: Vertex) -> tuple[int, int]:
+        """The out masks along v's column and row: the smaller entries."""
+        if not self._contains(v):
+            raise GridError(f"vertex {v} out of bounds for {self.shape}")
+        i, j = v
+        x = self.values[i, j]
+        return (_bool_mask(self.values[:, j] < x), _bool_mask(self.values[i] < x))
+
+    def _points_to(self, tail: Vertex, head: Vertex) -> bool:
+        """Whether the edge tail-head is directed tail -> head: tail is larger."""
+        if not (self._contains(tail) and self._contains(head)):
+            raise GridError(f"edge {tail}-{head} out of bounds for {self.shape}")
+        if tail == head or (tail[0] != head[0] and tail[1] != head[1]):
+            raise GridError(f"{tail}-{head} is not a grid edge")
+        return self.values[tail] > self.values[head]
 
     def __getitem__(self, v: Vertex) -> float:
         return float(self.values[v])
@@ -295,10 +316,6 @@ def validate_uso(
         return None
     rmask, cmask, sinks = hit
     return UsoViolation(_bits(rmask), _bits(cmask), sinks)
-
-
-def is_uso(grid: OrientedGrid, max_coords: int = DEFAULT_VALIDATION_COORDS) -> bool:
-    return validate_uso(grid, max_coords) is None
 
 
 def brute_force_sink(grid: DOrientedGrid) -> tuple[int, ...]:

@@ -6,9 +6,14 @@ cache and are not re-counted, so counters measure distinct information and
 stay comparable across algorithms.  One handle backs one logical interaction;
 distinct handles over immutable grids may run in parallel.
 
-Backends: explicit grids, value matrices (implicit comparisons), the adaptive
-lower-bound adversary, induced block grids, inherited d-dimensional block
-grids, and square padding.
+Sources answer for themselves: an explicit grid of any dimension and a value
+matrix both define the source protocol of :mod:`usogrid.dgrid`
+(``_out_lines``, ``_points_to``, ``dims``, ``shape``).  Over a source,
+:func:`vertex_oracle` builds the one source vertex handle and
+:func:`edge_oracle` an :class:`EdgeOracle`; each adds only caching, counting
+and the transcript.  The other handles answer from other handles: the
+adaptive lower-bound adversary, induced block grids, inherited d-dimensional
+block grids, and square padding.
 """
 
 from __future__ import annotations
@@ -109,11 +114,6 @@ class VertexAnswer:
                 f"lines_out={self.lines_out!r})")
 
 
-def _bool_mask(flags: np.ndarray) -> int:
-    """Bit c set iff ``flags[c]``."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-
-
 # Transcript records are ("vertex", v, VertexAnswer) or ("edge", (a, b), head)
 # with (a, b) the canonical (sorted) endpoint pair.
 TranscriptRecord = tuple
@@ -156,109 +156,64 @@ class VertexOracle:
         raise NotImplementedError
 
 
-class ExplicitVertexOracle(VertexOracle):
-    """Vertex oracle over an explicit grid of any dimension: an answer is
-    the grid's line masks at the vertex."""
+class SourceVertexOracle(VertexOracle):
+    """Vertex oracle over a source (a value matrix, or an explicit grid of
+    any dimension): an answer is the source's out line masks at the vertex."""
 
-    def __init__(self, grid: DOrientedGrid, record: bool = True):
+    def __init__(self, source: ValueMatrix | DOrientedGrid, record: bool = True):
         super().__init__(record)
-        self.grid = grid
-        self.dims = grid.dims
-        self.shape = grid.shape if isinstance(grid, OrientedGrid) else None
+        self.source = source
+        self.dims = source.dims
+        self.shape = source.shape
 
     def _answer(self, v) -> VertexAnswer:
-        self.grid._check_vertex(v)
-        k = self.grid.index(v)
-        out = tuple(line[k] for line in self.grid.lines)
+        out = self.source._out_lines(v)
         return VertexAnswer.from_masks(v, _in_masks(v, self.dims, out), out)
 
 
-#: The d-dimensional name of the explicit oracle, kept for callers that look
-#: it up by name (benchmark tracing maps both names to one span).
-DdimVertexOracle = ExplicitVertexOracle
-
-
-class ValueVertexOracle(VertexOracle):
-    """Implicit backend: answers by comparing one row and one column."""
-
-    def __init__(self, vm: ValueMatrix, record: bool = True):
-        super().__init__(record)
-        self.values = vm.values
-        self.shape = vm.shape
-
-    def _answer(self, v: Vertex) -> VertexAnswer:
-        i, j = v
-        if not self.shape.contains(v):
-            raise GridError(f"vertex {v} out of bounds for {self.shape}")
-        x = self.values[i, j]
-        out = (_bool_mask(self.values[:, j] < x), _bool_mask(self.values[i] < x))
-        return VertexAnswer.from_masks(v, _in_masks(v, self.values.shape, out), out)
+#: Names the benchmark's tracer (``perfbench/spans.py``) looks up to name the
+#: vertex-query span.  They bind the one source handle, which must define no
+#: public method: the tracer wraps a class once per name it is bound to.
+ValueVertexOracle = ExplicitVertexOracle = DdimVertexOracle = SourceVertexOracle
 
 
 def vertex_oracle(
     source: OrientedGrid | DOrientedGrid | ValueMatrix, record: bool = True
 ) -> VertexOracle:
-    if isinstance(source, ValueMatrix):
-        return ValueVertexOracle(source, record)
-    if isinstance(source, DOrientedGrid):
-        return ExplicitVertexOracle(source, record)
-    raise TypeError(f"cannot build a vertex oracle from {type(source).__name__}")
+    if not isinstance(source, (ValueMatrix, DOrientedGrid)):
+        raise TypeError(f"cannot build a vertex oracle from {type(source).__name__}")
+    return SourceVertexOracle(source, record)
 
 
 class EdgeOracle:
-    """Base for edge-query handles: query_edge(u, w) returns the head vertex."""
+    """Edge-query handle over a 2-D source (a value matrix or an explicit
+    grid): query_edge(u, w) returns the head vertex."""
 
-    def __init__(self, record: bool = True):
+    def __init__(self, source: ValueMatrix | OrientedGrid, record: bool = True):
         self.counter = QueryCounter()
         self.transcript: list[TranscriptRecord] | None = [] if record else None
         self._cache: dict = {}
+        self.source = source
+        self.shape = source.shape
 
     def query_edge(self, u: Vertex, w: Vertex) -> Vertex:
         key = (u, w) if u <= w else (w, u)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        head = self._head(key[0], key[1])
+        a, b = key
+        head = b if self.source._points_to(a, b) else a
         self.counter.edge_queries += 1
         self._cache[key] = head
         if self.transcript is not None:
             self.transcript.append(("edge", key, head))
         return head
 
-    def _head(self, a: Vertex, b: Vertex) -> Vertex:
-        raise NotImplementedError
-
-
-class ExplicitEdgeOracle(EdgeOracle):
-    def __init__(self, grid: OrientedGrid, record: bool = True):
-        super().__init__(record)
-        self.grid = grid
-        self.shape = grid.shape
-
-    def _head(self, a: Vertex, b: Vertex) -> Vertex:
-        return b if self.grid.points_to(a, b) else a
-
-
-class ValueEdgeOracle(EdgeOracle):
-    def __init__(self, vm: ValueMatrix, record: bool = True):
-        super().__init__(record)
-        self.values = vm.values
-        self.shape = vm.shape
-
-    def _head(self, a: Vertex, b: Vertex) -> Vertex:
-        if a == b or (a[0] != b[0] and a[1] != b[1]):
-            raise GridError(f"{a}-{b} is not a grid edge")
-        if not (self.shape.contains(a) and self.shape.contains(b)):
-            raise GridError(f"edge {a}-{b} out of bounds for {self.shape}")
-        return b if self.values[a] > self.values[b] else a
-
 
 def edge_oracle(source: OrientedGrid | ValueMatrix, record: bool = True) -> EdgeOracle:
-    if isinstance(source, ValueMatrix):
-        return ValueEdgeOracle(source, record)
-    if isinstance(source, OrientedGrid):
-        return ExplicitEdgeOracle(source, record)
-    raise TypeError(f"cannot build an edge oracle from {type(source).__name__}")
+    if not isinstance(source, (ValueMatrix, OrientedGrid)):
+        raise TypeError(f"cannot build an edge oracle from {type(source).__name__}")
+    return EdgeOracle(source, record)
 
 
 class TransposedVertexOracle:
@@ -299,10 +254,6 @@ class AdversaryVertexOracle(VertexOracle):
         self._survivor: int | None = None
         self._tournament: list[int] = []  # columns queried in the surviving row
         self.sink: Vertex | None = None
-
-    @property
-    def resolved(self) -> bool:
-        return self.sink is not None
 
     def _row_value(self, row: int, col: int) -> int:
         """Value of a frozen-row vertex inside its band (0 = the row sink)."""

@@ -83,8 +83,6 @@ class GridDoc:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        if isinstance(self.source, ValueMatrix):
-            return (self.source.shape.rows, self.source.shape.cols)
         return self.source.dims
 
     def sink(self) -> tuple[int, ...]:

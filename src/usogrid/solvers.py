@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import GridError, NotUsoError
-from .grid import Vertex, _bits
+from .grid import Vertex
 from .oracles import (
     InducedVertexOracle,
     InheritedVertexOracle,
@@ -34,38 +34,16 @@ from .oracles import (
 )
 
 
-@dataclass(frozen=True)
-class EliminationRecord:
-    """Rows/columns with direct edges into a queried vertex (plus its own),
-    as bitmasks.
-
-    The vertex is the unique sink of rows x cols, so when it is not the
-    global sink that whole subgrid is ruled out.
-    """
-
-    vertex: Vertex
-    row_mask: int
-    col_mask: int
-
-    @property
-    def rows(self) -> frozenset[int]:
-        return _bits(self.row_mask)
-
-    @property
-    def cols(self) -> frozenset[int]:
-        return _bits(self.col_mask)
-
-
 class EliminationState:
     """Bookkeeping for the elimination solvers.
 
     Tracks the active subgrid, per-vertex eliminated flags (as per-row column
-    bitmasks), the record of every query, and which queried vertex currently
-    covers each active row/column.  Within the active subgrid, queried
-    vertices always occupy distinct rows and distinct columns.
+    bitmasks), and which queried vertex currently covers each active
+    row/column.  Within the active subgrid, queried vertices always occupy
+    distinct rows and distinct columns.
     """
 
-    __slots__ = ("m", "n", "active_rows", "active_cols", "elim", "queried",
+    __slots__ = ("m", "n", "active_rows", "active_cols", "elim",
                  "row_cover", "col_cover", "sink")
 
     def __init__(self, m: int, n: int):
@@ -74,7 +52,6 @@ class EliminationState:
         self.active_rows = (1 << m) - 1
         self.active_cols = (1 << n) - 1
         self.elim = [0] * m
-        self.queried: dict[Vertex, EliminationRecord] = {}
         self.row_cover: dict[int, Vertex] = {}
         self.col_cover: dict[int, Vertex] = {}
         self.sink: Vertex | None = None
@@ -98,7 +75,9 @@ def note_query(state: EliminationState, answer: VertexAnswer) -> None:
     A sink answer (no outgoing edges) resolves the search; otherwise the
     eliminated subgrid is derived from the answer's direct incoming edges
     only — no transitive closure.  Rows come from the in mask along the
-    vertex's column (axis 0), columns from the one along its row (axis 1).
+    vertex's column (axis 0), columns from the one along its row (axis 1):
+    the vertex is the unique sink of those rows x columns, so when it is not
+    the global sink that whole subgrid is ruled out.
     """
     v = answer.vertex
     i, j = v
@@ -109,7 +88,6 @@ def note_query(state: EliminationState, answer: VertexAnswer) -> None:
         return
     rmask = answer.lines_in[0] | 1 << i
     cmask = answer.lines_in[1] | 1 << j
-    state.queried[v] = EliminationRecord(v, rmask, cmask)
     while rmask:
         state.elim[(rmask & -rmask).bit_length() - 1] |= cmask
         rmask &= rmask - 1
@@ -121,6 +99,15 @@ def _lowest_bit(mask: int) -> int | None:
     if mask == 0:
         return None
     return (mask & -mask).bit_length() - 1
+
+
+def _eliminated_col(state: EliminationState, cols: int) -> int | None:
+    """Lowest column of the mask ``cols`` eliminated in every active row."""
+    rbits = state.active_rows
+    while rbits:
+        cols &= state.elim[(rbits & -rbits).bit_length() - 1]
+        rbits &= rbits - 1
+    return _lowest_bit(cols)
 
 
 def eliminated_lines(state: EliminationState) -> tuple[int, int] | None:
@@ -140,12 +127,7 @@ def eliminated_lines(state: EliminationState) -> tuple[int, int] | None:
             row = r
             break
         rbits &= rbits - 1
-    col_and = state.active_cols
-    rbits = state.active_rows
-    while rbits:
-        col_and &= state.elim[(rbits & -rbits).bit_length() - 1]
-        rbits &= rbits - 1
-    col = _lowest_bit(col_and)
+    col = _eliminated_col(state, state.active_cols)
     if row is None or col is None:
         raise NotUsoError(
             "no fully eliminated row/column although the sink is unfound: "
@@ -173,20 +155,6 @@ def _square_phase(oracle, state: EliminationState) -> Vertex:
     return state.sink
 
 
-def _eliminated_covered_col(state: EliminationState, covered: int) -> int:
-    col_and = state.active_cols & covered
-    rbits = state.active_rows
-    while rbits:
-        col_and &= state.elim[(rbits & -rbits).bit_length() - 1]
-        rbits &= rbits - 1
-    col = _lowest_bit(col_and)
-    if col is None:
-        raise NotUsoError(
-            "no eliminated column among the covered ones: the oracle is not a USO"
-        )
-    return col
-
-
 def rectangular_solve(oracle, m: int, n: int) -> tuple[Vertex, QueryCounter]:
     """Find the sink of an m x n grid USO with at most m + n - 1 vertex queries.
 
@@ -206,7 +174,11 @@ def rectangular_solve(oracle, m: int, n: int) -> tuple[Vertex, QueryCounter]:
             return state.sink, oracle.counter.snapshot()
     covered = (1 << m) - 1
     while state.active_cols.bit_count() > m:
-        c = _eliminated_covered_col(state, covered)
+        c = _eliminated_col(state, state.active_cols & covered)
+        if c is None:
+            raise NotUsoError(
+                "no eliminated column among the covered ones: the oracle is not a USO"
+            )
         lost_row = state.col_cover[c][0]
         state.deactivate(col=c)
         covered &= ~(1 << c)

@@ -39,7 +39,7 @@ from usogrid.solvers import (
     walk_solve,
 )
 
-from conftest import USO_COUNTS
+from uso_counts import USO_COUNTS
 
 EXHAUSTIVE_SHAPES = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
 

@@ -24,7 +24,7 @@ from usogrid import (
 from usogrid import kernels
 from usogrid.dgrid import validate_uso_ddim
 
-from conftest import USO_COUNTS
+from uso_counts import USO_COUNTS
 
 
 class TestOrientFromValues:
@@ -139,6 +139,15 @@ class TestPadding:
     def test_rejects_non_uso(self):
         with pytest.raises(NotUsoError):
             pad_values_to_square(ValueMatrix([[1, 3], [4, 2], [5, 6]]))
+
+    def test_cap_checked_before_building_the_grid(self, monkeypatch):
+        def expand(*_):
+            raise AssertionError("padding built the explicit grid before its cap check")
+
+        vm = gen_one_line(400, 300, 0)
+        monkeypatch.setattr(OrientedGrid, "from_values", expand)
+        with pytest.raises(CapExceededError):
+            pad_values_to_square(vm)
 
     @staticmethod
     def _check_padding(vm):

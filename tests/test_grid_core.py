@@ -31,7 +31,7 @@ from usogrid.dgrid import (
 from usogrid.grid import Direction, Edge, GridShape
 from usogrid.serialize import GridDoc
 
-from conftest import USO_COUNTS
+from uso_counts import USO_COUNTS
 
 
 def grid_1234() -> OrientedGrid:
@@ -239,6 +239,20 @@ class TestDdim:
         g = DOrientedGrid.from_values(np.array([[1.0, 3.0], [4.0, 2.0]]))
         violation = validate_uso_ddim(g)
         assert violation is not None and violation.sink_count == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_from_values_refuses_non_finite(self, bad):
+        # NaN compares neither way, so the edges at its vertex would point
+        # nowhere and the orientation would not be total.
+        for values in ([[bad, 1.0], [2.0, 3.0]], [[[1.0, bad]], [[2.0, 3.0]]]):
+            with pytest.raises(GridError, match="finite"):
+                DOrientedGrid.from_values(np.array(values))
+        with pytest.raises(GridError, match="finite"):
+            ValueMatrix([[bad, 1.0], [2.0, 3.0]])
+
+    def test_from_values_refuses_repeated_values(self):
+        with pytest.raises(GridError, match="distinct"):
+            DOrientedGrid.from_values(np.array([[[1.0, 2.0]], [[2.0, 3.0]]]))
 
 
 class TestOneCore:

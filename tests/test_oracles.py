@@ -30,10 +30,9 @@ from usogrid.dgrid import DOrientedGrid, ddim_edge_count
 from usogrid.gen import contiguous_partitions
 from usogrid.grid import Edge, GridShape, OrientedGrid
 from usogrid.oracles import (
-    ExplicitVertexOracle,
     InheritedVertexOracle,
+    SourceVertexOracle,
     TransposedVertexOracle,
-    ValueVertexOracle,
     VertexAnswer,
     _FixedAxesView,
 )
@@ -63,7 +62,7 @@ class TestVertexOracle:
     def test_value_and_explicit_backends_agree(self):
         vm = gen_one_line(3, 4, 5)
         g = OrientedGrid.from_values(vm)
-        ov, oe = ValueVertexOracle(vm), ExplicitVertexOracle(g)
+        ov, oe = SourceVertexOracle(vm), SourceVertexOracle(g)
         for v in g.shape.vertices():
             assert ov.query(v) == oe.query(v)
 
@@ -489,8 +488,8 @@ class TestLineMaskAnswers:
     def test_explicit_and_transposed(self, m, n, raw):
         g = OrientedGrid.from_edge_word(m, n, raw % (1 << kernels.edge_count(m, n)))
         gt = g.transpose()
-        explicit = ExplicitVertexOracle(g)
-        transposed = TransposedVertexOracle(ExplicitVertexOracle(g))
+        explicit = SourceVertexOracle(g)
+        transposed = TransposedVertexOracle(SourceVertexOracle(g))
         for i, j in g.shape.vertices():
             _check_answer(explicit.query((i, j)), *_neighbour_sets(g, (i, j)))
             _check_answer(transposed.query((j, i)), *_neighbour_sets(gt, (j, i)))
@@ -501,8 +500,8 @@ class TestLineMaskAnswers:
         vm = gen_one_line(m, n, seed)
         g = OrientedGrid.from_values(vm)
         gt = g.transpose()
-        values = ValueVertexOracle(vm)
-        transposed = TransposedVertexOracle(ValueVertexOracle(vm))
+        values = SourceVertexOracle(vm)
+        transposed = TransposedVertexOracle(SourceVertexOracle(vm))
         for i, j in g.shape.vertices():
             _check_answer(values.query((i, j)), *_neighbour_sets(g, (i, j)))
             _check_answer(transposed.query((j, i)), *_neighbour_sets(gt, (j, i)))
@@ -513,7 +512,7 @@ class TestLineMaskAnswers:
     def test_ddim_and_fixed_axes(self, dims, raw, seed):
         dims = tuple(dims)
         g = DOrientedGrid.from_edge_word(dims, raw % (1 << ddim_edge_count(dims)))
-        base = ExplicitVertexOracle(g)
+        base = SourceVertexOracle(g)
         rng = random.Random(seed)
         for v in g.vertices():
             _check_answer(base.query(v), *_neighbour_sets(g, v))
@@ -568,3 +567,114 @@ class TestLineMaskAnswers:
     def test_set_built_answer_rejects_non_neighbours(self):
         with pytest.raises(GridError):
             VertexAnswer((0, 0), {(1, 1)}, set())
+
+
+def _planar_words():
+    """Every orientation of the shapes up to 2x3 and 3x2, and at 3x3 a
+    stride through the USOs plus random words (mostly non-USOs)."""
+    rng = random.Random(6)
+    for m, n in itertools.product(range(1, 4), repeat=2):
+        edges = kernels.edge_count(m, n)
+        if edges <= 9:
+            words = range(1 << edges)
+        else:
+            words = kernels.enumerate_uso_words(m, n)[::97] + [
+                rng.getrandbits(edges) for _ in range(100)]
+        for word in words:
+            yield OrientedGrid.from_edge_word(m, n, word)
+
+
+def _ddim_grids():
+    """Up to 3 axes of size at most 3, a few random orientations each."""
+    rng = random.Random(7)
+    for d in (1, 2, 3):
+        for dims in itertools.product(range(1, 4), repeat=d):
+            for _ in range(4):
+                yield DOrientedGrid.from_edge_word(dims, rng.getrandbits(ddim_edge_count(dims)))
+
+
+def _value_sources():
+    return [gen_one_line(m, n, seed)
+            for m in range(1, 7) for n in range(1, 7) for seed in (0, 1)]
+
+
+def _bad_vertices(dims):
+    """Out of bounds on each side of every axis, and wrong arity."""
+    zero = (0,) * len(dims)
+    bad = [zero[:-1], zero + (0,)]
+    for a, size in enumerate(dims):
+        bad += [zero[:a] + (size,) + zero[a + 1:], zero[:a] + (-1,) + zero[a + 1:]]
+    return bad
+
+
+class TestSourceProtocol:
+    """Value matrices and explicit grids of any dimension answer both query
+    kinds for themselves, through the one vertex handle and the one edge
+    handle."""
+
+    @staticmethod
+    def _check_vertex_answers(source, grid):
+        o = vertex_oracle(source, record=False)
+        for v in grid.vertices():
+            answer = o.query(v)
+            assert answer.outgoing == grid.out_neighbors(v)
+            assert answer.incoming == grid.in_neighbors(v)
+            assert answer.is_sink == grid.is_sink(v)
+        assert o.counter.vertex_queries == grid.vertex_count
+
+    @staticmethod
+    def _check_edge_answers(source, grid):
+        ov, oe = vertex_oracle(source, record=False), edge_oracle(source, record=False)
+        for a, b in kernels.edge_list(*grid.dims):
+            head = oe.query_edge(a, b)
+            assert head == (b if b in ov.query(a).outgoing else a)
+            assert head == (a if a in ov.query(b).outgoing else b)
+            assert oe.query_edge(b, a) == head
+        assert oe.counter.edge_queries == kernels.edge_count(*grid.dims)
+
+    def test_explicit_grids(self):
+        for g in _planar_words():
+            self._check_vertex_answers(g, g)
+            self._check_edge_answers(g, g)
+
+    def test_ddim_grids(self):
+        for g in _ddim_grids():
+            self._check_vertex_answers(g, g)
+
+    def test_value_matrices_answer_like_their_grid(self):
+        for vm in _value_sources():
+            g = OrientedGrid.from_values(vm)
+            self._check_vertex_answers(vm, g)
+            self._check_edge_answers(vm, g)
+            ov, og = vertex_oracle(vm), vertex_oracle(g)
+            for v in g.vertices():
+                assert ov.query(v) == og.query(v)
+            assert ov.transcript == og.transcript
+
+    def test_bad_queries_raise_grid_error(self):
+        vm = gen_one_line(3, 4, 2)
+        sources = [vm, OrientedGrid.from_values(vm), DOrientedGrid.from_values(vm.values),
+                   gen_separable_ddim((2, 3, 2), 1)]
+        for source in sources:
+            o = vertex_oracle(source)
+            for v in _bad_vertices(source.dims):
+                with pytest.raises(GridError):
+                    o.query(v)
+            assert o.counter.vertex_queries == 0 and o.transcript == []
+        for source in sources[:2]:
+            o = edge_oracle(source)
+            for a, b in [((0, 0), (1, 1)), ((0, 0), (0, 0)), ((0, 0), (3, 0)),
+                         ((0, 4), (0, 0)), ((0, -1), (0, 0)), ((0, 0, 0), (0, 0, 1)),
+                         ((0,), (1,))]:
+                with pytest.raises(GridError):
+                    o.query_edge(a, b)
+            assert o.counter.edge_queries == 0 and o.transcript == []
+
+    def test_other_types_are_refused(self):
+        for bad in (object(), [[1.0, 2.0]], gen_one_line(2, 2, 0).values):
+            with pytest.raises(TypeError):
+                vertex_oracle(bad)
+            with pytest.raises(TypeError):
+                edge_oracle(bad)
+        with pytest.raises(TypeError):
+            edge_oracle(gen_separable_ddim((2, 2), 0))

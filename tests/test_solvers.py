@@ -52,8 +52,7 @@ class TestNoteQuery:
         state = EliminationState(2, 2)
         o = vertex_oracle(grid_2134())
         note_query(state, o.query((0, 0)))
-        rec = state.queried[(0, 0)]
-        assert rec.rows == {0, 1} and rec.cols == {0}
+        assert state.elim == [0b01, 0b01]  # rows {0, 1} x column {0}
         assert state.is_eliminated((0, 0)) and state.is_eliminated((1, 0))
         assert not state.is_eliminated((0, 1))
 
@@ -61,8 +60,7 @@ class TestNoteQuery:
         state = EliminationState(2, 2)
         o = vertex_oracle(grid_2134())
         note_query(state, o.query((1, 1)))
-        rec = state.queried[(1, 1)]
-        assert rec.rows == {1} and rec.cols == {1}
+        assert state.elim == [0b00, 0b10]  # row {1} x column {1}
         assert state.is_eliminated((1, 1)) and not state.is_eliminated((1, 0))
 
     def test_sink_answer_sets_sink_and_eliminates_nothing(self):
