@@ -23,7 +23,15 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import kernels
-from .dgrid import DOrientedGrid, _bits, _check_values, _in_masks, _strides, _value_lines
+from .dgrid import (
+    DOrientedGrid,
+    _bits,
+    _check_line,
+    _check_values,
+    _in_masks,
+    _strides,
+    _value_lines,
+)
 from .errors import CapExceededError, CyclicOrientationError, GridError, NotUsoError
 from .kernels import _bit_list
 
@@ -140,9 +148,21 @@ class ValueMatrix:
         x = self.values[i, j]
         return (_bool_mask(self.values[:, j] < x), _bool_mask(self.values[i] < x))
 
+    def _out_line(self, v: Vertex, axis: int, lo: int, hi: int) -> int:
+        """The out mask at v along ``axis`` over coordinates [lo, hi): one
+        comparison of the slice against v's entry."""
+        if not self._contains(v):
+            raise GridError(f"vertex {v} out of bounds for {self.shape}")
+        _check_line(self.dims, axis, lo, hi)
+        i, j = v
+        line = self.values[lo:hi, j] if axis == 0 else self.values[i, lo:hi]
+        return _bool_mask(line < self.values[i, j]) << lo
+
     def _points_to(self, tail: Vertex, head: Vertex) -> bool:
         """Whether the edge tail-head is directed tail -> head: tail is larger."""
-        if not (self._contains(tail) and self._contains(head)):
+        m, n = self.dims
+        if not (len(tail) == 2 == len(head) and 0 <= tail[0] < m and 0 <= tail[1] < n
+                and 0 <= head[0] < m and 0 <= head[1] < n):
             raise GridError(f"edge {tail}-{head} out of bounds for {self.shape}")
         if tail == head or (tail[0] != head[0] and tail[1] != head[1]):
             raise GridError(f"{tail}-{head} is not a grid edge")

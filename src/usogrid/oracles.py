@@ -1,10 +1,12 @@
 """Countable query interfaces over grids.
 
 A handle answers vertex queries (all incident edge directions at once) or
-edge queries (one direction).  Duplicate queries are served from a per-handle
-cache and are not re-counted, so counters measure distinct information and
-stay comparable across algorithms.  One handle backs one logical interaction;
-distinct handles over immutable grids may run in parallel.
+edge queries (one direction, or one line range of them at once).  Duplicate
+queries are not re-counted: a vertex handle serves them from its cache, and
+an edge handle keeps, per vertex and axis, a line mask of the edges already
+known.  Counters so measure distinct information and stay comparable across
+algorithms.  One handle backs one logical interaction; distinct handles over
+immutable grids may run in parallel.
 
 Sources answer for themselves: an explicit grid of any dimension and a value
 matrix both define the source protocol of :mod:`usogrid.dgrid`
@@ -23,9 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dgrid import DOrientedGrid, _full, _in_masks, _masks_to_vertices
+from .dgrid import DOrientedGrid, _check_line, _full, _in_masks, _masks_to_vertices
 from .errors import AdversaryError, GridError, SubSolverError
 from .grid import GridShape, OrientedGrid, ValueMatrix, Vertex
+from .kernels import _bit_list
 
 
 @dataclass
@@ -187,27 +190,65 @@ def vertex_oracle(
 
 class EdgeOracle:
     """Edge-query handle over a 2-D source (a value matrix or an explicit
-    grid): query_edge(u, w) returns the head vertex."""
+    grid).
+
+    ``query_edge(u, w)`` returns the head vertex.  ``query_line(u, axis, lo,
+    hi)`` asks every edge from u to the vertices of its line along ``axis``
+    with coordinates in [lo, hi) at once and returns u's out mask over that
+    range, with the bit convention of ``VertexAnswer.lines_out``.
+
+    Each vertex keeps one known mask per axis; an edge answered for the first
+    time sets its bit on both endpoints.  So an edge is counted, and enters
+    the transcript, once, whichever method asks for it first; a line query
+    records its new edges in ascending coordinate order.
+    """
 
     def __init__(self, source: ValueMatrix | OrientedGrid, record: bool = True):
         self.counter = QueryCounter()
         self.transcript: list[TranscriptRecord] | None = [] if record else None
-        self._cache: dict = {}
         self.source = source
         self.shape = source.shape
+        # _known[axis][k]: bit c set iff the edge from vertex k (row-major) to
+        # the vertex with coordinate c on its line along axis is known.
+        self._known = tuple([0] * source.shape.vertex_count for _ in range(2))
 
     def query_edge(self, u: Vertex, w: Vertex) -> Vertex:
-        key = (u, w) if u <= w else (w, u)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        a, b = key
-        head = b if self.source._points_to(a, b) else a
-        self.counter.edge_queries += 1
-        self._cache[key] = head
-        if self.transcript is not None:
-            self.transcript.append(("edge", key, head))
+        head = w if self.source._points_to(u, w) else u
+        axis = 0 if u[0] != w[0] else 1
+        n = self.shape.cols
+        known = self._known[axis]
+        ku = u[0] * n + u[1]
+        if not known[ku] >> w[axis] & 1:
+            known[ku] |= 1 << w[axis]
+            known[w[0] * n + w[1]] |= 1 << u[axis]
+            self.counter.edge_queries += 1
+            if self.transcript is not None:
+                self.transcript.append(("edge", (u, w) if u <= w else (w, u), head))
         return head
+
+    def query_line(self, u: Vertex, axis: int, lo: int, hi: int) -> int:
+        out = self.source._out_line(u, axis, lo, hi)
+        n = self.shape.cols
+        known = self._known[axis]
+        ku = u[0] * n + u[1]
+        c = u[axis]
+        new = _full(hi) >> lo << lo & ~known[ku] & ~(1 << c)
+        if not new:
+            return out
+        # Mark u known at the other end of every edge in the range: at the
+        # ends already known the bit is set already, and u's own bit is moot.
+        step = n if axis == 0 else 1
+        ends = slice(ku + (lo - c) * step, ku + (hi - c) * step, step)
+        bit = 1 << c
+        known[ends] = [k | bit for k in known[ends]]
+        known[ku] |= new
+        self.counter.edge_queries += new.bit_count()
+        if self.transcript is not None:
+            for x in _bit_list(new):
+                w = (x, u[1]) if axis == 0 else (u[0], x)
+                self.transcript.append(
+                    ("edge", (w, u) if x < c else (u, w), w if out >> x & 1 else u))
+        return out
 
 
 def edge_oracle(source: OrientedGrid | ValueMatrix, record: bool = True) -> EdgeOracle:
@@ -378,18 +419,29 @@ class _BlockEdgeView:
         self._base = base
         self._r0, r1 = rows
         self._c0, c1 = cols
-        self.shape = GridShape(r1 - self._r0, c1 - self._c0)
+        self._dims = (r1 - self._r0, c1 - self._c0)
+        self.shape = GridShape(*self._dims)
 
     @property
     def counter(self) -> QueryCounter:
         return self._base.counter
 
     def query_edge(self, u: Vertex, w: Vertex) -> Vertex:
-        if not (self.shape.contains(u) and self.shape.contains(w)):
+        rows, cols = self._dims
+        if not (0 <= u[0] < rows and 0 <= u[1] < cols
+                and 0 <= w[0] < rows and 0 <= w[1] < cols):
             raise GridError(f"edge {u}-{w} out of bounds for block {self.shape}")
         gu = (u[0] + self._r0, u[1] + self._c0)
         gw = (w[0] + self._r0, w[1] + self._c0)
         return u if self._base.query_edge(gu, gw) == gu else w
+
+    def query_line(self, u: Vertex, axis: int, lo: int, hi: int) -> int:
+        if not self.shape.contains(u):
+            raise GridError(f"vertex {u} out of bounds for block {self.shape}")
+        _check_line(self._dims, axis, lo, hi)
+        shift = self._c0 if axis else self._r0
+        gu = (u[0] + self._r0, u[1] + self._c0)
+        return self._base.query_line(gu, axis, lo + shift, hi + shift) >> shift
 
 
 class InducedVertexOracle(VertexOracle):
@@ -397,10 +449,10 @@ class InducedVertexOracle(VertexOracle):
 
     A vertex query on block (x, y) finds the block's sink with the supplied
     sub-solver (edge queries restricted to the block), then queries every
-    base edge incident to that sink; block x points to block y iff the sink
-    has at least one outgoing edge into y.  All base costs land on the shared
-    base edge counter; this handle's own counter counts block-level vertex
-    queries.
+    base edge incident to that sink, one line query along its row and one
+    along its column; block x points to block y iff the sink has at least
+    one outgoing edge into y.  All base costs land on the shared base edge
+    counter; this handle's own counter counts block-level vertex queries.
     """
 
     def __init__(
@@ -436,16 +488,8 @@ class InducedVertexOracle(VertexOracle):
         u = (r0 + local[0], c0 + local[1])
         if not (r0 <= u[0] < r1 and c0 <= u[1] < c1):
             raise SubSolverError(f"sub-solver returned {u} outside block {xy}")
-        m, n = self._base.shape.rows, self._base.shape.cols
-        ui, uj = u
-        row_out = 0
-        for j in range(n):
-            if j != uj and self._base.query_edge(u, (ui, j)) != u:
-                row_out |= 1 << j
-        col_out = 0
-        for i in range(m):
-            if i != ui and self._base.query_edge(u, (i, uj)) != u:
-                col_out |= 1 << i
+        row_out = self._base.query_line(u, 1, 0, self._base.shape.cols)
+        col_out = self._base.query_line(u, 0, 0, self._base.shape.rows)
         if row_out & _full(c1) >> c0 << c0 or col_out & _full(r1) >> r0 << r0:
             raise SubSolverError(f"sub-solver sink {u} has an outgoing edge in block {xy}")
         self._block_sinks[xy] = u
@@ -463,7 +507,9 @@ class PaddedEdgeOracle:
     handle.  Synthetic vertices behave as values base + R*i + j above every
     real value, so any edge touching one is answered free of charge: toward
     the real endpoint, or toward the smaller R*i + j key when both endpoints
-    are synthetic-region cells.  The padded sink equals the base sink.
+    are synthetic-region cells.  A line query forwards its real part to the
+    base handle; a synthetic vertex points to every vertex below it on its
+    line.  The padded sink equals the base sink.
     """
 
     def __init__(self, base, side: int):
@@ -495,6 +541,16 @@ class PaddedEdgeOracle:
         ku = u[0] * self._scale + u[1]
         kw = w[0] * self._scale + w[1]
         return u if ku < kw else w
+
+    def query_line(self, u: Vertex, axis: int, lo: int, hi: int) -> int:
+        if not self.shape.contains(u):
+            raise GridError(f"vertex {u} out of bounds for {self.shape}")
+        span = _check_line((self.shape.rows, self.shape.cols), axis, lo, hi)
+        if not self._real(u):
+            # Real neighbours and smaller keys both lie below u on the line.
+            return _full(u[axis]) & span
+        real = self._n if axis else self._m
+        return self._base.query_line(u, axis, lo, min(hi, real)) if lo < real else 0
 
 
 class _FixedAxesView:

@@ -353,6 +353,10 @@ GOLDEN_STDOUT = {
         "9fb9efa0314119392f5d5d714a423272cf412599732b55c7cfbd2cb6054d4a83"),
     "solve-ddim-dims": (0,
         "f2cb7c04a1bc9113930a97524b3b54e7903b0aaa2de6923ae97d72e5f962c72e"),
+    # Frozen before the edge handles answered line queries: pins the
+    # dc-edge counts per size and seed.
+    "bench-dc-edge-16-32-64": (0,
+        "4f1bd7f086879c68d21621a4944420536602cc267a45fc3948f0a7b39f273b2d"),
 }
 
 
@@ -381,6 +385,8 @@ class TestGoldenOutputs:
             "validate-four-cycle": ["validate", files["cycle"]],
             "solve-rect-edges": ["solve", "--alg", "rect", "--grid", files["edges"]],
             "solve-ddim-dims": ["solve", "--alg", "ddim", "--grid", files["dims"]],
+            "bench-dc-edge-16-32-64": ["bench", "--alg", "dc-edge", "--sizes", "16,32,64",
+                                       "--trials", "5"],
         }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))

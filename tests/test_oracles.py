@@ -1,5 +1,6 @@
 """Oracle handles: counting, caching, adversary, induced/inherited/pad adapters."""
 
+import functools
 import itertools
 import random
 
@@ -34,6 +35,7 @@ from usogrid.oracles import (
     SourceVertexOracle,
     TransposedVertexOracle,
     VertexAnswer,
+    _BlockEdgeView,
     _FixedAxesView,
 )
 from usogrid.solvers import dc_edge_solve, rectangular_solve, walk_solve
@@ -371,8 +373,148 @@ class TestPadOracle:
             PaddedEdgeOracle(edge_oracle(gen_one_line(2, 4, 0)), 3)
 
 
+def _line_by_edges(handle, u, axis, lo, hi):
+    """u's out mask over [lo, hi) along ``axis``, one edge query at a time."""
+    mask = 0
+    for c in range(lo, hi):
+        w = (c, u[1]) if axis == 0 else (u[0], c)
+        if c != u[axis] and handle.query_edge(u, w) == w:
+            mask |= 1 << c
+    return mask
+
+
+@functools.cache
+def _line_sources():
+    """One-line value matrices and explicit orientations up to 4x4: USOs
+    (value-derived, and enumerated words up to 3x3) and random words, most
+    of them not USOs."""
+    rng = random.Random(17)
+    sources = []
+    for m, n in itertools.product(range(1, 5), repeat=2):
+        sources += [gen_one_line(m, n, 3 * m + n),
+                    OrientedGrid.from_values(gen_one_line(m, n, m + 5 * n))]
+        if m * n <= 9:
+            sources += [OrientedGrid.from_edge_word(m, n, word)
+                        for word in kernels.enumerate_uso_words(m, n)[::409]]
+        sources += [OrientedGrid.from_edge_word(m, n, rng.getrandbits(kernels.edge_count(m, n)))
+                    for _ in range(3)]
+    return tuple(sources)
+
+
+#: Each kind of edge handle, built over a given base edge oracle: the base
+#: itself, block views (one over another) and square paddings.
+_LINE_HANDLES = {
+    "edge": lambda base: base,
+    "block": lambda base: _BlockEdgeView(base, (base.shape.rows // 2, base.shape.rows),
+                                         (0, (base.shape.cols + 1) // 2)),
+    "block-of-block": lambda base: _BlockEdgeView(
+        _BlockEdgeView(base, (0, base.shape.rows), (base.shape.cols // 3, base.shape.cols)),
+        (base.shape.rows // 3, base.shape.rows), (0, base.shape.cols - base.shape.cols // 3)),
+    "padded": lambda base: PaddedEdgeOracle(base, max(base.shape.rows, base.shape.cols) + 1),
+    "padded-block": lambda base: PaddedEdgeOracle(
+        _BlockEdgeView(base, (0, base.shape.rows), (base.shape.cols // 2, base.shape.cols)),
+        base.shape.rows + 1),
+}
+
+
+def _lines(shape):
+    """Every vertex, axis and range [lo, hi), empty ranges included."""
+    for u in shape.vertices():
+        for axis, size in enumerate((shape.rows, shape.cols)):
+            for lo in range(size + 1):
+                for hi in range(lo, size + 1):
+                    yield u, axis, lo, hi
+
+
+class TestLineQueries:
+    """query_line(u, axis, lo, hi) answers as the edge queries of that range
+    would, and counts and records only the edges not yet known."""
+
+    @pytest.mark.parametrize("kind", sorted(_LINE_HANDLES))
+    def test_line_masks_match_edge_queries(self, kind):
+        make = _LINE_HANDLES[kind]
+        for source in _line_sources():
+            line_base, edge_base = edge_oracle(source), edge_oracle(source)
+            by_line, by_edge = make(line_base), make(edge_base)
+            for u, axis, lo, hi in _lines(by_line.shape):
+                mask = by_line.query_line(u, axis, lo, hi)
+                assert mask == _line_by_edges(by_edge, u, axis, lo, hi)
+                assert mask & ~(((1 << hi) - 1) >> lo << lo) == 0
+                assert line_base.counter == edge_base.counter
+            # Equal counts after every query and equal final transcripts: each
+            # query recorded the same edges in the same order.
+            assert line_base.transcript == edge_base.transcript
+
+    @pytest.mark.parametrize("kind", sorted(_LINE_HANDLES))
+    def test_mixed_with_edge_queries(self, kind):
+        # Random line and edge queries in any order: the line handle counts and
+        # records exactly what the same queries made edge by edge do.
+        make = _LINE_HANDLES[kind]
+        rng = random.Random(kind)
+        for m, n in [(4, 4), (3, 4), (4, 2), (1, 4)]:
+            for source in (gen_one_line(m, n, m * n), OrientedGrid.from_edge_word(
+                    m, n, rng.getrandbits(kernels.edge_count(m, n)))):
+                line_base, edge_base = edge_oracle(source), edge_oracle(source)
+                by_line, by_edge = make(line_base), make(edge_base)
+                lines = list(_lines(by_line.shape))
+                for _ in range(60):
+                    u, axis, lo, hi = rng.choice(lines)
+                    if rng.random() < 0.5:
+                        mask = by_line.query_line(u, axis, lo, hi)
+                        assert mask == _line_by_edges(by_edge, u, axis, lo, hi)
+                    elif hi - lo > 1 or (hi - lo == 1 and lo != u[axis]):
+                        c = rng.choice([c for c in range(lo, hi) if c != u[axis]])
+                        w = (c, u[1]) if axis == 0 else (u[0], c)
+                        pair = (u, w) if rng.random() < 0.5 else (w, u)
+                        assert by_line.query_edge(*pair) == by_edge.query_edge(*pair)
+                    assert line_base.counter == edge_base.counter
+                    assert line_base.transcript == edge_base.transcript
+
+    def test_known_edges_are_not_recounted(self):
+        vm = gen_one_line(3, 5, 4)
+        o = edge_oracle(vm)
+        o.query_edge((1, 4), (1, 0))
+        o.query_edge((2, 3), (1, 3))  # another line: not on the row scanned
+        assert o.query_line((1, 3), 1, 0, 5) == _line_by_edges(edge_oracle(vm), (1, 3), 1, 0, 5)
+        assert o.counter.edge_queries == 2 + 4
+        o.query_edge((1, 1), (1, 3))  # known from the line: not counted
+        o.query_line((1, 0), 1, 0, 5)  # (1,0)-(1,3) and (1,0)-(1,4) are known
+        assert o.counter.edge_queries == 6 + 2
+        o.query_line((1, 0), 1, 0, 5)
+        assert o.counter.edge_queries == 8
+        keys = [key for _, key, _ in o.transcript]
+        assert keys == [((1, 0), (1, 4)), ((1, 3), (2, 3)),
+                        ((1, 0), (1, 3)), ((1, 1), (1, 3)), ((1, 2), (1, 3)),
+                        ((1, 3), (1, 4)), ((1, 0), (1, 1)), ((1, 0), (1, 2))]
+
+    def test_synthetic_lines_are_free(self):
+        base = edge_oracle(gen_one_line(2, 3, 6))
+        padded = PaddedEdgeOracle(base, 5)
+        assert padded.query_line((3, 1), 0, 0, 5) == 0b00111  # real rows, then lower keys
+        assert padded.query_line((0, 4), 1, 1, 5) == 0b01110
+        assert padded.query_line((1, 2), 1, 3, 5) == 0  # toward the real endpoint
+        assert padded.query_line((1, 2), 0, 2, 5) == 0
+        assert base.counter.edge_queries == 0 and base.transcript == []
+
+    @pytest.mark.parametrize("kind", sorted(_LINE_HANDLES))
+    def test_bad_lines_raise_and_count_nothing(self, kind):
+        for source in (gen_one_line(3, 4, 2), OrientedGrid.from_values(gen_one_line(4, 3, 2))):
+            base = edge_oracle(source)
+            handle = _LINE_HANDLES[kind](base)
+            m, n = handle.shape.rows, handle.shape.cols
+            bad = [((0, 0), -1, 0, 1), ((0, 0), 2, 0, 1),
+                   ((0, 0), 0, -1, m), ((0, 0), 0, 0, m + 1), ((0, 0), 1, 2, 1),
+                   ((0, 0), 1, 0, n + 1), ((0, 0), 1, n + 1, n + 1),
+                   ((m, 0), 0, 0, m), ((0, n), 1, 0, n), ((-1, 0), 0, 0, m),
+                   ((0, -1), 1, 0, n)]
+            for args in bad:
+                with pytest.raises(GridError):
+                    handle.query_line(*args)
+            assert base.counter.edge_queries == 0 and base.transcript == []
+
+
 class TestInheritedOracle:
-    def test_two_dims_one_real_query_per_block(self):
+    def test_two_dims_one_real_query_per_BlockEdgeView(self):
         g = gen_separable_ddim((3, 4), 6)
         base = vertex_oracle(g)
 
@@ -408,7 +550,7 @@ class TestInheritedOracle:
                 inh.query((x, y))
                 assert base.counter.vertex_queries - before <= dims[2]
 
-    def test_block_sink_is_global_sink_of_sink_block(self):
+    def test_block_sink_is_global_sink_of_sink_BlockEdgeView(self):
         dims = (2, 2, 3)
         g = gen_separable_ddim(dims, 4)
         base = vertex_oracle(g)

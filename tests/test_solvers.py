@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,55 @@ class TestDcEdgeSolve:
         with pytest.raises(NotUsoError):
             dc_edge_solve(edge_oracle(four_cycle), 2, 2)
 
+    @pytest.mark.parametrize("threshold", [1, 2, 8])
+    def test_line_queries_keep_counts_and_transcripts(self, threshold):
+        # The same run with every line query made edge by edge: same sink,
+        # count and transcript.
+        sched = KSchedule(base_threshold=threshold)
+        for m, n, seed in [(16, 16, 0), (27, 27, 1), (20, 9, 2), (9, 20, 3), (33, 17, 4)]:
+            vm = gen_one_line(m, n, seed)
+            for source in (vm, OrientedGrid.from_values(vm)):
+                by_line, by_edge = edge_oracle(source), edge_oracle(source)
+                sink, counter = dc_edge_solve(by_line, m, n, sched)
+                assert (sink, counter) == dc_edge_solve(_LinesByEdges(by_edge), m, n, sched)
+                assert sink == vm.argmin_vertex()
+                assert by_line.transcript == by_edge.transcript
+
+    def test_memory_grows_with_edges(self):
+        # A 512x512 solve queries about 1.7e5 of its 1.3e8 edges.  One known
+        # mask per vertex and axis stays within the bound; a cache entry per
+        # known edge took about 31 MiB.
+        vm = gen_one_line(512, 512, 1)
+        tracemalloc.start()
+        try:
+            dc_edge_solve(edge_oracle(vm, record=False), 512, 512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+class _LinesByEdges:
+    """Edge handle proxy that scans each queried line one edge query at a
+    time, ascending, the way dc-edge scanned lines before edge handles
+    answered line queries."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self.shape = oracle.shape
+        self.counter = oracle.counter
+
+    def query_edge(self, u, w):
+        return self._oracle.query_edge(u, w)
+
+    def query_line(self, u, axis, lo, hi):
+        mask = 0
+        for c in range(lo, hi):
+            w = (c, u[1]) if axis == 0 else (u[0], c)
+            if c != u[axis] and self._oracle.query_edge(u, w) == w:
+                mask |= 1 << c
+        return mask
+
 
 class TestDdimSolve:
     def test_line_walk_bound(self):
@@ -382,6 +432,10 @@ class _QueryBudget:
     def query_edge(self, u, w):
         self._spend()
         return self._oracle.query_edge(u, w)
+
+    def query_line(self, u, axis, lo, hi):
+        self._spend()
+        return self._oracle.query_line(u, axis, lo, hi)
 
 
 def _check_terminates(solve, oracle, is_sink, vertices: int, distinct_cap: int):
