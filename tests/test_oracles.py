@@ -514,7 +514,7 @@ class TestLineQueries:
 
 
 class TestInheritedOracle:
-    def test_two_dims_one_real_query_per_BlockEdgeView(self):
+    def test_two_dims_one_real_query_per_block(self):
         g = gen_separable_ddim((3, 4), 6)
         base = vertex_oracle(g)
 
@@ -550,7 +550,7 @@ class TestInheritedOracle:
                 inh.query((x, y))
                 assert base.counter.vertex_queries - before <= dims[2]
 
-    def test_block_sink_is_global_sink_of_sink_BlockEdgeView(self):
+    def test_block_sink_is_global_sink_of_sink_block(self):
         dims = (2, 2, 3)
         g = gen_separable_ddim(dims, 4)
         base = vertex_oracle(g)
