@@ -7,9 +7,9 @@ import pytest
 
 from usogrid.cli import main
 from usogrid.dgrid import DOrientedGrid
-from usogrid.gen import gen_one_line
+from usogrid.gen import gen_one_line, gen_separable_ddim
 from usogrid.grid import OrientedGrid
-from usogrid.serialize import grid_to_json, load_grid_file
+from usogrid.serialize import grid_to_json, load_grid_file, values_to_json
 from usogrid.solvers import ALGORITHMS
 
 PLANAR_ALGS = sorted(a for a in ALGORITHMS if a != "ddim")
@@ -139,6 +139,68 @@ class TestSolveNonUso:
         code, out, err = run(capsys, "solve", "--alg", alg, "--grid", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+#: Exact stderr and exit code of each cap and non-USO error path.
+ERROR_PATHS = {
+    "gen-index-cap": (["gen", "--model", "enumerate-index", "--shape", "5x5"], 3,
+                      "error: enumerating a 5x5 grid means 2^100 orientations, above the "
+                      "cap of 2^20\n"),
+    "enumerate-cap": (["enumerate", "--shape", "5x5"], 3,
+                      "error: enumerating a 5x5 grid means 2^100 orientations, above the "
+                      "cap of 2^20\n"),
+    "validate-cap": (["validate", "{values}"], 3,
+                     "error: validation of a 8x8 grid enumerates 65025 subgrids which "
+                     "exceeds the cap (m + n <= 14); raise max_coords explicitly or fall "
+                     "back to sampled checks\n"),
+    "validate-cap-raised": (["validate", "{values}", "--max-coords", "16"], 0, ""),
+    "validate-ddim-cap": (["validate", "{dims}", "--max-subgrids", "10"], 3,
+                          "error: validating dims (3, 3, 3, 3) means 2401 subgrids, above "
+                          "the cap 10; raise max_subgrids explicitly\n"),
+    "solve-rect-cycle": (["solve", "--alg", "rect", "--grid", "{cycle}"], 1,
+                         "error: no fully eliminated row/column although the sink is "
+                         "unfound: the oracle is not a USO\n"),
+    "solve-walk-cycle": (["solve", "--alg", "walk", "--grid", "{cycle}"], 1,
+                         "error: walk revisited (0, 0): the orientation has a cycle\n"),
+}
+
+
+class TestErrorPaths:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("errors")
+        paths = {name: root / f"{name}.json" for name in ("values", "dims", "cycle")}
+        paths["values"].write_text(json.dumps(values_to_json(gen_one_line(8, 8, 0))))
+        paths["dims"].write_text(json.dumps(grid_to_json(gen_separable_ddim((3, 3, 3, 3), 0))))
+        paths["cycle"].write_text(json.dumps({"shape": [2, 2], "edges": [
+            {"a": a, "b": b, "dir": d} for d, a, b in NON_USO_EDGES["four-cycle"]]}))
+        return {name: str(path) for name, path in paths.items()}
+
+    @pytest.mark.parametrize("name", sorted(ERROR_PATHS))
+    def test_exact_stderr_and_exit_code(self, files, capsys, name):
+        argv, code, err = ERROR_PATHS[name]
+        got = run(capsys, *(arg.format(**files) for arg in argv))
+        assert (got[0], got[2]) == (code, err)
+        assert got[1] == ("ok\n" if code == 0 else "")
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--model", "oneline", "--shape", "3x3"],
+        ["gen", "--model", "separable", "--shape", "2x2x2"],
+        ["solve", "--alg", "rect", "--model", "oneline", "--shape", "3x3"],
+        ["solve", "--alg", "ddim", "--model", "separable", "--shape", "2x2x2"],
+    ], ids=["gen-oneline", "gen-separable", "solve-oneline", "solve-separable"])
+    def test_negative_model_seed_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ") and "--seed must be non-negative" in err
+
+    def test_negative_seed_of_a_loaded_grid_still_solves(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(values_to_json(gen_one_line(4, 5, 1))))
+        code, out, err = run(capsys, "solve", "--alg", "random-edge", "--grid", str(path),
+                             "--seed", "-1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == "ok"
 
 
 class TestMalformedFiles:
