@@ -45,29 +45,36 @@ def _parse_shape(text: str, parser: argparse.ArgumentParser, want_dims: int | No
     return dims
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _write(text: str, path: str | None) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+def _emit(doc: dict, out_path: str | None) -> None:
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
+
+
+def _generate(args, parser) -> serialize.GridDoc:
+    """The ``--model`` oneline or separable instance of ``--shape`` and ``--seed``."""
+    dims = _parse_shape(args.shape, parser, want_dims=2 if args.model == "oneline" else None)
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative for --model {args.model}, got {args.seed}")
+    if args.model == "oneline":
+        return serialize.GridDoc(gen.gen_one_line(*dims, args.seed))
+    return serialize.GridDoc(gen.gen_separable_ddim(dims, args.seed))
+
+
 def _cmd_gen(args, parser) -> int:
     if args.model == "oneline":
-        m, n = _parse_shape(args.shape, parser)
-        doc = serialize.values_to_json(gen.gen_one_line(m, n, args.seed))
+        doc = serialize.values_to_json(_generate(args, parser).values)
     elif args.model == "separable":
-        dims = _parse_shape(args.shape, parser, want_dims=None)
-        doc = serialize.grid_to_json(gen.gen_separable_ddim(dims, args.seed))
+        doc = serialize.grid_to_json(_generate(args, parser).grid)
     else:  # enumerate-index: the seed doubles as the index
         m, n = _parse_shape(args.shape, parser)
-        try:
-            words = gen.uso_words((m, n))
-        except CapExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CAP
+        words = gen.uso_words((m, n))
         if not 0 <= args.seed < len(words):
             parser.error(
                 f"index {args.seed} out of range: {m}x{n} has {len(words)} USOs"
@@ -86,15 +93,11 @@ def _load_file(path: str, parser) -> serialize.GridDoc:
 
 def _cmd_validate(args, parser) -> int:
     doc = _load_file(args.grid, parser)
-    try:
-        if doc.is_ddim:
-            violation = validate_uso_ddim(doc.grid, max_subgrids=args.max_subgrids)
-        else:
-            check_validation_cap(*doc.dims, args.max_coords)  # before building the grid
-            violation = validate_uso(doc.grid, max_coords=args.max_coords)
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    if doc.is_ddim:
+        violation = validate_uso_ddim(doc.grid, max_subgrids=args.max_subgrids)
+    else:
+        check_validation_cap(*doc.dims, args.max_coords)  # before building the grid
+        violation = validate_uso(doc.grid, max_coords=args.max_coords)
     if violation is None:
         print("ok")
         return EXIT_OK
@@ -115,23 +118,12 @@ def _cmd_validate(args, parser) -> int:
 
 def _cmd_enumerate(args, parser) -> int:
     m, n = _parse_shape(args.shape, parser)
-    try:
-        if args.count_only:
-            print(gen.count_usos((m, n)))
-            return EXIT_OK
-        lines = []
-        for grid in gen.enumerate_usos((m, n)):
-            lines.append(json.dumps(serialize.grid_to_json(grid), sort_keys=True,
-                                    separators=(",", ":")))
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if args.count_only:
+        print(gen.count_usos((m, n)))
+        return EXIT_OK
+    lines = [json.dumps(serialize.grid_to_json(grid), sort_keys=True, separators=(",", ":"))
+             for grid in gen.enumerate_usos((m, n))]
+    _write("\n".join(lines) + ("\n" if lines else ""), args.out)
     return EXIT_OK
 
 
@@ -140,13 +132,7 @@ def _load_instance(args, parser) -> serialize.GridDoc:
         return _load_file(args.grid, parser)
     if not args.model or not args.shape:
         parser.error("need either --grid or --model with --shape")
-    if args.model == "oneline":
-        m, n = _parse_shape(args.shape, parser)
-        return serialize.GridDoc(gen.gen_one_line(m, n, args.seed))
-    if args.model == "separable":
-        dims = _parse_shape(args.shape, parser, want_dims=None)
-        return serialize.GridDoc(gen.gen_separable_ddim(dims, args.seed))
-    parser.error(f"model {args.model!r} not usable here")
+    return _generate(args, parser)
 
 
 def _solve_once(alg: str, doc: serialize.GridDoc, seed: int, parser) -> RunReport:
@@ -169,11 +155,7 @@ def _solve_once(alg: str, doc: serialize.GridDoc, seed: int, parser) -> RunRepor
 
 def _cmd_solve(args, parser) -> int:
     doc = _load_instance(args, parser)
-    try:
-        report = _solve_once(args.alg, doc, args.seed, parser)
-    except NotUsoError as exc:  # from the solver, or the file has no unique sink
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+    report = _solve_once(args.alg, doc, args.seed, parser)
     _emit(report.to_json_dict(), args.report)
     return _VERDICT_EXIT[report.verdict]
 
@@ -222,12 +204,7 @@ def _cmd_bench(args, parser) -> int:
             doc = serialize.GridDoc(gen.gen_one_line(size, size, seed))
             reports.append(_solve_once(args.alg, doc, seed, parser))
     reports.sort(key=lambda r: (r.algorithm, r.shape, r.seed))
-    text = CSV_HEADER + "\n" + "".join(r.csv_row() + "\n" for r in reports)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(CSV_HEADER + "\n" + "".join(r.csv_row() + "\n" for r in reports), args.csv)
     if any(r.verdict == "sink-mismatch" for r in reports):
         return EXIT_SINK
     if any(not r.bound_ok for r in reports):
@@ -299,7 +276,11 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _HANDLERS[args.command](args, parser)
+    try:
+        return _HANDLERS[args.command](args, parser)
+    except (CapExceededError, NotUsoError) as exc:  # caps; solving a non-USO file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP if isinstance(exc, CapExceededError) else EXIT_VIOLATION
 
 
 if __name__ == "__main__":

@@ -203,11 +203,6 @@ class DOrientedGrid:
     def vertex_count(self) -> int:
         return math.prod(self.dims)
 
-    @property
-    def coord_count(self) -> int:
-        """Sum of the dimension sizes (the d-dimensional analogue of m + n)."""
-        return sum(self.dims)
-
     def _check_vertex(self, v: DVertex) -> None:
         if len(v) != len(self.dims) or min(v) < 0 or any(map(operator.ge, v, self.dims)):
             raise GridError(f"vertex {v} out of bounds for dims {self.dims}")

@@ -22,7 +22,6 @@ from .dgrid import DOrientedGrid
 from .errors import CapExceededError, GridError, NotUsoError
 from .grid import (
     DEFAULT_VALIDATION_COORDS,
-    GridShape,
     OrientedGrid,
     ValueMatrix,
     check_validation_cap,
@@ -85,37 +84,29 @@ def gen_one_line(m: int, n: int, seed: int) -> ValueMatrix:
     return one_line_instance(m, n, seed).value_matrix()
 
 
-def uso_words(
-    shape: GridShape | tuple[int, int],
-    max_edges: int = DEFAULT_ENUMERATION_EDGES,
-) -> list[int]:
+def uso_words(shape: tuple[int, int]) -> list[int]:
     """Edge words (see :meth:`OrientedGrid.from_edge_word`) of every USO of the
-    shape, ascending; raises CapExceededError above ``max_edges`` edges."""
-    m, n = (shape.rows, shape.cols) if isinstance(shape, GridShape) else shape
+    (m, n) shape, ascending; raises CapExceededError above
+    ``DEFAULT_ENUMERATION_EDGES`` edges."""
+    m, n = shape
     edges = kernels.edge_count(m, n)
-    if edges > max_edges:
+    if edges > DEFAULT_ENUMERATION_EDGES:
         raise CapExceededError(
             f"enumerating a {m}x{n} grid means 2^{edges} orientations, above "
-            f"the cap of 2^{max_edges}"
+            f"the cap of 2^{DEFAULT_ENUMERATION_EDGES}"
         )
     return kernels.enumerate_uso_words(m, n)
 
 
-def enumerate_usos(
-    shape: GridShape | tuple[int, int],
-    max_edges: int = DEFAULT_ENUMERATION_EDGES,
-) -> Iterator[OrientedGrid]:
-    """Every USO of the shape, in a deterministic (ascending edge word) order."""
-    m, n = (shape.rows, shape.cols) if isinstance(shape, GridShape) else shape
-    for word in uso_words((m, n), max_edges):
-        yield OrientedGrid.from_edge_word(m, n, word)
+def enumerate_usos(shape: tuple[int, int]) -> Iterator[OrientedGrid]:
+    """Every USO of the (m, n) shape, in a deterministic (ascending edge word)
+    order."""
+    for word in uso_words(shape):
+        yield OrientedGrid.from_edge_word(*shape, word)
 
 
-def count_usos(
-    shape: GridShape | tuple[int, int],
-    max_edges: int = DEFAULT_ENUMERATION_EDGES,
-) -> int:
-    return len(uso_words(shape, max_edges))
+def count_usos(shape: tuple[int, int]) -> int:
+    return len(uso_words(shape))
 
 
 def pad_values_to_square(

@@ -43,7 +43,7 @@ DEFAULT_VALIDATION_COORDS = 14
 
 @dataclass(frozen=True)
 class GridShape:
-    """Dimensions of an (m, n) grid; ``coord_count`` is m + n."""
+    """Dimensions of an (m, n) grid."""
 
     rows: int
     cols: int
@@ -51,10 +51,6 @@ class GridShape:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise GridError(f"grid shape must be positive, got {self.rows}x{self.cols}")
-
-    @property
-    def coord_count(self) -> int:
-        return self.rows + self.cols
 
     @property
     def vertex_count(self) -> int:
@@ -67,12 +63,6 @@ class GridShape:
         for i in range(self.rows):
             for j in range(self.cols):
                 yield (i, j)
-
-    def index(self, v: Vertex) -> int:
-        return v[0] * self.cols + v[1]
-
-    def vertex(self, idx: int) -> Vertex:
-        return divmod(idx, self.cols)
 
 
 class Direction(Enum):
@@ -167,9 +157,6 @@ class ValueMatrix:
         if tail == head or (tail[0] != head[0] and tail[1] != head[1]):
             raise GridError(f"{tail}-{head} is not a grid edge")
         return self.values[tail] > self.values[head]
-
-    def __getitem__(self, v: Vertex) -> float:
-        return float(self.values[v])
 
     def argmin_vertex(self) -> Vertex:
         """Position of the global minimum: the sink of the induced orientation."""

@@ -288,9 +288,9 @@ class AdversaryVertexOracle(VertexOracle):
     consistent with every answer given.
     """
 
-    def __init__(self, shape: GridShape | tuple[int, int], record: bool = True):
+    def __init__(self, shape: tuple[int, int], record: bool = True):
         super().__init__(record)
-        self.shape = shape if isinstance(shape, GridShape) else GridShape(*shape)
+        self.shape = GridShape(*shape)
         self._frozen: dict[int, tuple[int, int]] = {}  # row -> (freeze order, sink col)
         self._survivor: int | None = None
         self._tournament: list[int] = []  # columns queried in the surviving row
@@ -554,44 +554,36 @@ class PaddedEdgeOracle:
 
 
 class _FixedAxesView:
-    """(d-k)-dimensional vertex-oracle view with k axes pinned to constants.
+    """(d-k)-dimensional vertex-oracle view with the first k axes pinned to
+    the coordinates ``prefix``.
 
     Queries lift to the base oracle (shared counter and cache); answers drop
     the line masks of the pinned axes.
     """
 
-    def __init__(self, base, pinned: dict[int, int]):
+    def __init__(self, base, prefix: tuple):
         self._base = base
-        self._pinned = dict(pinned)
-        self._axes = [a for a in range(len(base.dims)) if a not in self._pinned]
-        self.dims = tuple(base.dims[a] for a in self._axes)
+        self._prefix = prefix
+        self.dims = base.dims[len(prefix):]
 
     @property
     def counter(self) -> QueryCounter:
         return self._base.counter
 
     def lift(self, sub: tuple) -> tuple:
-        full = [0] * len(self._base.dims)
-        for axis, coord in self._pinned.items():
-            full[axis] = coord
-        for pos, axis in enumerate(self._axes):
-            full[axis] = sub[pos]
-        return tuple(full)
+        return self._prefix + sub
 
     def query(self, sub: tuple) -> VertexAnswer:
         sub = tuple(sub)
         ans = self._base.query(self.lift(sub))
-        return VertexAnswer.from_masks(
-            sub,
-            tuple(ans.lines_in[a] for a in self._axes),
-            tuple(ans.lines_out[a] for a in self._axes),
-        )
+        k = len(self._prefix)
+        return VertexAnswer.from_masks(sub, ans.lines_in[k:], ans.lines_out[k:])
 
 
 class InheritedVertexOracle(VertexOracle):
-    """2-dimensional vertex oracle over the blocks of two chosen axes.
+    """2-dimensional vertex oracle over the blocks of the first two axes.
 
-    A query on block (x, y) pins the two axes to (x, y) and runs the
+    A query on block (x, y) pins axes 0 and 1 to (x, y) and runs the
     sub-solver on the remaining (d-2)-dimensional block with real vertex
     queries.  The sub-solver's final query is the block sink, so its cached
     answer already holds the directions along the pinned axes: deriving the
@@ -601,21 +593,16 @@ class InheritedVertexOracle(VertexOracle):
     def __init__(
         self,
         base,
-        axes: tuple[int, int] = (0, 1),
-        sub_solver: Callable[[_FixedAxesView], tuple] | None = None,
+        sub_solver: Callable[[_FixedAxesView], tuple],
         record: bool = True,
     ):
         super().__init__(record)
-        a0, a1 = axes
-        if a0 == a1 or not (0 <= a0 < len(base.dims)) or not (0 <= a1 < len(base.dims)):
-            raise GridError(f"bad axis pair {axes} for dims {base.dims}")
-        if sub_solver is None:
-            raise GridError("inherited oracle needs a sub-solver")
+        if len(base.dims) < 2:
+            raise GridError(f"inherited oracle needs two axes, dims are {base.dims}")
         self._base = base
-        self._axes = (a0, a1)
         self._sub = sub_solver
         self._block_sinks: dict[Vertex, tuple] = {}
-        self.shape = GridShape(base.dims[a0], base.dims[a1])
+        self.shape = GridShape(*base.dims[:2])
 
     def block_sink(self, xy: Vertex) -> tuple:
         return self._block_sinks[xy]
@@ -623,16 +610,12 @@ class InheritedVertexOracle(VertexOracle):
     def _answer(self, xy: Vertex) -> VertexAnswer:
         if not self.shape.contains(xy):
             raise GridError(f"block {xy} out of bounds for {self.shape}")
-        a0, a1 = self._axes
-        view = _FixedAxesView(self._base, {a0: xy[0], a1: xy[1]})
-        local = self._sub(view)
-        full = view.lift(tuple(local))
+        view = _FixedAxesView(self._base, xy)
+        full = view.lift(tuple(self._sub(view)))
         ans = self._base.query(full)  # cached: the sub-solver queried its sink last
-        if any(mask for a, mask in enumerate(ans.lines_out) if a not in (a0, a1)):
+        if any(ans.lines_out[2:]):
             raise SubSolverError(
                 f"sub-solver sink {full} has an outgoing edge inside block {xy}"
             )
         self._block_sinks[xy] = full
-        return VertexAnswer.from_masks(
-            xy, (ans.lines_in[a0], ans.lines_in[a1]), (ans.lines_out[a0], ans.lines_out[a1])
-        )
+        return VertexAnswer.from_masks(xy, ans.lines_in[:2], ans.lines_out[:2])

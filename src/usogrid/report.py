@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .oracles import QueryCounter
 from .solvers import ALGORITHMS
@@ -67,17 +67,9 @@ class RunReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "shape": list(self.shape),
-            "seed": self.seed,
-            "queries": dict(self.queries),
-            "bound": self.bound,
-            "bound_ok": self.bound_ok,
-            "sink": list(self.sink),
-            "verdict": self.verdict,
-            "wall_time": self.wall_time,
-        }
+        """Every field by name; ``shape`` and ``sink`` stay tuples, which
+        JSON writes as lists."""
+        return asdict(self)
 
     def csv_row(self) -> str:
         if len(self.shape) != 2:

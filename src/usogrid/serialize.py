@@ -1,4 +1,4 @@
-"""JSON boundary: grid files, point instances, transcript JSON lines.
+"""JSON boundary: grid files and transcript JSON lines.
 
 This is where coordinates turn 1-based.  Grid files carry either a value
 matrix or an explicit edge list, never both::
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from . import kernels
 from .dgrid import DOrientedGrid, ddim_edge_list
 from .errors import GridError
-from .gen import PointInstance
 from .grid import Direction, GridShape, OrientedGrid, ValueMatrix, brute_force_sink
 from .oracles import TranscriptRecord, VertexAnswer
 
@@ -144,20 +143,6 @@ def _grid_source(doc: dict) -> ValueMatrix | OrientedGrid | DOrientedGrid:
 def load_grid_file(path) -> GridDoc:
     with open(path, "r", encoding="utf-8") as fh:
         return load_grid(json.load(fh))
-
-
-def point_instance_to_json(inst: PointInstance) -> dict:
-    return {
-        "left": [[float(x), float(y)] for x, y in inst.left],
-        "right": [[float(x), float(y)] for x, y in inst.right],
-    }
-
-
-def point_instance_from_json(doc: dict) -> PointInstance:
-    return PointInstance(
-        tuple((float(x), float(y)) for x, y in doc["left"]),
-        tuple((float(x), float(y)) for x, y in doc["right"]),
-    )
 
 
 def transcript_to_jsonl(records: list[TranscriptRecord]) -> str:

@@ -43,12 +43,9 @@ class EliminationState:
     distinct rows and distinct columns.
     """
 
-    __slots__ = ("m", "n", "active_rows", "active_cols", "elim",
-                 "row_cover", "col_cover", "sink")
+    __slots__ = ("active_rows", "active_cols", "elim", "row_cover", "col_cover", "sink")
 
     def __init__(self, m: int, n: int):
-        self.m = m
-        self.n = n
         self.active_rows = (1 << m) - 1
         self.active_cols = (1 << n) - 1
         self.elim = [0] * m
@@ -308,10 +305,7 @@ def dc_edge_solve(
         raise GridError(
             f"oracle shape {oracle.shape.rows}x{oracle.shape.cols} does not match {m}x{n}"
         )
-    side = max(m, n)
-    work = oracle if m == n else PaddedEdgeOracle(oracle, side)
-    sink = _dc_square(work, side, schedule)
-    return sink, oracle.counter.snapshot()
+    return _dc_any(oracle, schedule), oracle.counter.snapshot()
 
 
 def _ddim_sink(oracle, dims: tuple[int, ...]):
@@ -322,10 +316,7 @@ def _ddim_sink(oracle, dims: tuple[int, ...]):
     if len(dims) == 1:
         return _walk(oracle, (0,), min)
     inherited = InheritedVertexOracle(
-        oracle,
-        (0, 1),
-        sub_solver=lambda view: _ddim_sink(view, view.dims),
-        record=False,
+        oracle, lambda view: _ddim_sink(view, view.dims), record=False
     )
     block, _ = rectangular_solve(inherited, dims[0], dims[1])
     return inherited.block_sink(block)

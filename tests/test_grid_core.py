@@ -268,7 +268,7 @@ class TestOneCore:
     def test_lines_hold_the_out_neighbours(self):
         g = OrientedGrid.from_values(ValueMatrix([[3, 1, 4], [1.5, 9, 2.6], [5, 3.5, 8]]))
         for v in g.shape.vertices():
-            k = g.shape.index(v)
+            k = g.index(v)
             rows = frozenset((i, v[1]) for i in range(3) if g.lines[0][k] >> i & 1)
             cols = frozenset((v[0], j) for j in range(3) if g.lines[1][k] >> j & 1)
             assert rows | cols == g.out_neighbors(v)

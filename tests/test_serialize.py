@@ -1,18 +1,15 @@
-"""JSON boundary round trips: grids, point instances, transcript JSONL."""
+"""JSON boundary round trips: grids and transcript JSONL."""
 
 import json
 
-import numpy as np
 import pytest
 
 from usogrid import (
     GridError,
     OrientedGrid,
-    PointInstance,
     ValueMatrix,
     gen_one_line,
     gen_separable_ddim,
-    one_line_instance,
     replay_transcript,
     vertex_oracle,
     edge_oracle,
@@ -20,8 +17,6 @@ from usogrid import (
 from usogrid.serialize import (
     grid_to_json,
     load_grid,
-    point_instance_from_json,
-    point_instance_to_json,
     transcript_from_jsonl,
     transcript_to_jsonl,
     values_to_json,
@@ -71,16 +66,6 @@ class TestGridJson:
                     "edges": [{"a": [0, 1], "b": [1, 2], "dir": "ab"}],
                 }
             )
-
-
-class TestPointInstanceJson:
-    def test_round_trip(self):
-        inst = one_line_instance(3, 2, 7)
-        back = point_instance_from_json(point_instance_to_json(inst))
-        assert back == inst
-        assert np.array_equal(
-            back.value_matrix().values, inst.value_matrix().values
-        )
 
 
 class TestTranscriptJsonl:
