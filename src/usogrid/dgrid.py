@@ -43,26 +43,6 @@ DEFAULT_SUBGRID_CAP = 100_000
 _FLAG_BUDGET = 1 << 22
 
 
-def ddim_edge_list(dims: Sequence[int]) -> list[tuple[DVertex, DVertex]]:
-    """All edges, axis by axis, lines and endpoint pairs in lexicographic order."""
-    dims = tuple(dims)
-    edges = []
-    for axis, size in enumerate(dims):
-        others = [range(s) for a, s in enumerate(dims) if a != axis]
-        for rest in itertools.product(*others):
-            for x1 in range(size - 1):
-                for x2 in range(x1 + 1, size):
-                    u = rest[:axis] + (x1,) + rest[axis:]
-                    w = rest[:axis] + (x2,) + rest[axis:]
-                    edges.append((u, w))
-    return edges
-
-
-def ddim_edge_count(dims: Sequence[int]) -> int:
-    total = math.prod(dims)
-    return sum(total // s * (s * (s - 1) // 2) for s in dims)
-
-
 def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
     dims = tuple(operator.index(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
@@ -154,25 +134,24 @@ class DOrientedGrid:
         self.dims = _check_dims(dims)
         lines = [[0] * self.vertex_count for _ in self.dims]
         index_of = {v: k for k, v in enumerate(self.vertices())}
-        seen = set()
+        given = 0
         for tail, head in directed_edges:
             tail, head = tuple(tail), tuple(head)
             kt, kh = index_of.get(tail), index_of.get(head)
             differ = list(map(operator.ne, tail, head))
             if kt is None or kh is None or differ.count(True) != 1:
                 self._edge_axis(tail, head)  # raises the precise error
-            key = (kt, kh) if kt < kh else (kh, kt)
-            if key in seen:
+            axis = differ.index(True)
+            line = lines[axis]
+            # An edge given before has its bit set at one of its ends.
+            if (line[kt] >> head[axis] | line[kh] >> tail[axis]) & 1:
                 a, b = sorted((tail, head))
                 raise GridError(f"edge {a}-{b} oriented more than once")
-            seen.add(key)
-            axis = differ.index(True)
-            lines[axis][kt] |= 1 << head[axis]
-        expected = ddim_edge_count(self.dims)
-        if len(seen) != expected:
-            raise GridError(
-                f"orientation is not total: {len(seen)} of {expected} edges given"
-            )
+            line[kt] |= 1 << head[axis]
+            given += 1
+        expected = kernels.edge_count(*self.dims)
+        if given != expected:
+            raise GridError(f"orientation is not total: {given} of {expected} edges given")
         self.lines = tuple(map(tuple, lines))
 
     @classmethod
@@ -191,7 +170,8 @@ class DOrientedGrid:
 
     @classmethod
     def from_edge_word(cls, dims: Sequence[int], word: int) -> "DOrientedGrid":
-        """Decode one orientation from a bit per edge of :func:`ddim_edge_list`.
+        """Decode one orientation from a bit per edge of
+        ``kernels.edge_list(dims, range(len(dims)))``.
 
         Bit e set means edge e points from its lexicographically smaller
         endpoint to the larger one.

@@ -20,13 +20,7 @@ import numpy as np
 from . import kernels
 from .dgrid import DOrientedGrid
 from .errors import CapExceededError, GridError, NotUsoError
-from .grid import (
-    DEFAULT_VALIDATION_COORDS,
-    OrientedGrid,
-    ValueMatrix,
-    check_validation_cap,
-    validate_uso,
-)
+from .grid import OrientedGrid, ValueMatrix, check_validation_cap, validate_uso
 
 DEFAULT_ENUMERATION_EDGES = 20
 
@@ -109,9 +103,7 @@ def count_usos(shape: tuple[int, int]) -> int:
     return len(uso_words(shape))
 
 
-def pad_values_to_square(
-    vm: ValueMatrix, validate: bool = True, max_coords: int = DEFAULT_VALIDATION_COORDS
-) -> ValueMatrix:
+def pad_values_to_square(vm: ValueMatrix) -> ValueMatrix:
     """Append dominated rows or columns until the matrix is square.
 
     The original entries are replaced by their ranks 0 .. m*n-1, which keeps
@@ -123,11 +115,10 @@ def pad_values_to_square(
     original edge direction are preserved.
     """
     m, n = vm.values.shape
-    if validate:
-        check_validation_cap(m, n, max_coords)  # before building the grid
-        violation = validate_uso(OrientedGrid.from_values(vm), max_coords)
-        if violation is not None:
-            raise NotUsoError(f"input does not induce a USO: {violation}")
+    check_validation_cap(m, n)  # before building the grid
+    violation = validate_uso(OrientedGrid.from_values(vm))
+    if violation is not None:
+        raise NotUsoError(f"input does not induce a USO: {violation}")
     if m == n:
         return vm
     s = max(m, n)

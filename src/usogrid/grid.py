@@ -205,7 +205,7 @@ class OrientedGrid(DOrientedGrid):
     @classmethod
     def from_edge_word(cls, m: int, n: int, word: int) -> "OrientedGrid":
         """Decode a kernel edge word (see :mod:`usogrid.kernels`)."""
-        return cls._from_lines((m, n), kernels.word_to_lines((m, n), word, (1, 0)))
+        return cls._from_lines((m, n), kernels.word_to_lines((m, n), word, kernels.PLANAR_AXES))
 
     def direction_of(self, e: Edge) -> Direction:
         """Stored direction of ``e``; pure lookup, no query accounting."""
@@ -216,7 +216,7 @@ class OrientedGrid(DOrientedGrid):
         return e.b if self.direction_of(e) is Direction.AB else e.a
 
     def edges(self) -> Iterator[Edge]:
-        for a, b in kernels.edge_list(self.shape.rows, self.shape.cols):
+        for a, b in kernels.edge_list(self.dims, kernels.PLANAR_AXES):
             yield Edge(a, b)
 
     def restrict(self, rows: Iterable[int], cols: Iterable[int]) -> "OrientedGrid":

@@ -9,7 +9,8 @@ for a mask.  Conventions:
   iff v points to (i', j), and bit j' of ``row_lines[v]`` iff v points to
   (i, j').  Vertex v is a sink of the subgrid R x C (row and column masks)
   iff ``col_lines[v] & R == 0`` and ``row_lines[v] & C == 0``.
-* Edges are numbered row edges first, then column edges::
+* Edges are numbered row edges first, then column edges, the order of
+  ``edge_list(dims, (1, 0))`` (``PLANAR_AXES``)::
 
       row edges     (i, j1)-(i, j2)   i = 0..m-1, pairs (j1, j2) lexicographic
       column edges  (i1, j)-(i2, j)   j = 0..n-1, pairs (i1, i2) lexicographic
@@ -27,29 +28,31 @@ import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-Vertex = tuple[int, int]
-
 
 def implementation() -> str:
     """Name of the kernel implementation, recorded by benchmark runs."""
     return "pure"
 
 
-def edge_count(m: int, n: int) -> int:
-    return m * (n * (n - 1) // 2) + n * (m * (m - 1) // 2)
+#: Axis order of the 2-D edge word: row edges (axis 1), then column edges.
+PLANAR_AXES = (1, 0)
 
 
-def edge_list(m: int, n: int) -> list[tuple[Vertex, Vertex]]:
-    """All edges of the (m, n) grid in edge-word bit order."""
-    edges: list[tuple[Vertex, Vertex]] = []
-    for i in range(m):
-        for j1 in range(n - 1):
-            for j2 in range(j1 + 1, n):
-                edges.append(((i, j1), (i, j2)))
-    for j in range(n):
-        for i1 in range(m - 1):
-            for i2 in range(i1 + 1, m):
-                edges.append(((i1, j), (i2, j)))
+def edge_count(*dims: int) -> int:
+    """Edges of the grid ``dims``: on each axis, a pair per two vertices of a line."""
+    total = math.prod(dims)
+    return sum(total // size * (size * (size - 1) // 2) for size in dims)
+
+
+def edge_list(dims: Sequence[int], axes: Iterable[int]) -> list[tuple[tuple, tuple]]:
+    """All edges of the grid ``dims`` in edge-word bit order (see
+    :func:`word_to_lines`), each as its lexicographically ordered endpoints."""
+    dims = tuple(dims)
+    edges: list[tuple[tuple, tuple]] = []
+    for a in axes:
+        for rest in itertools.product(*map(range, dims[:a] + dims[a + 1 :])):
+            line = [rest[:a] + (x,) + rest[a:] for x in range(dims[a])]
+            edges += itertools.combinations(line, 2)
     return edges
 
 
@@ -60,7 +63,8 @@ def word_to_lines(dims: Sequence[int], word: int, axes: Iterable[int]) -> list[l
     The word's bits run axis by axis in the order ``axes``; within an axis,
     line by line in lexicographic order of the other coordinates; within a
     line, pair by pair in lexicographic order (one tournament word per line).
-    The 2-D edge word above is ``axes=(1, 0)``: row edges, then column edges.
+    The 2-D edge word above is ``axes=PLANAR_AXES``: row edges, then column
+    edges.
     """
     total = math.prod(dims)
     lines = [[0] * total for _ in dims]

@@ -161,13 +161,15 @@ class VertexOracle:
 
 class SourceVertexOracle(VertexOracle):
     """Vertex oracle over a source (a value matrix, or an explicit grid of
-    any dimension): an answer is the source's out line masks at the vertex."""
+    any dimension): an answer is the source's out line masks at the vertex.
+    Any two-axis source, a "dims" grid too, gets the 2-D ``shape`` the
+    vertex solvers check."""
 
     def __init__(self, source: ValueMatrix | DOrientedGrid, record: bool = True):
         super().__init__(record)
         self.source = source
         self.dims = source.dims
-        self.shape = source.shape
+        self.shape = GridShape(*self.dims) if len(self.dims) == 2 else None
 
     def _answer(self, v) -> VertexAnswer:
         out = self.source._out_lines(v)
@@ -444,43 +446,62 @@ class _BlockEdgeView:
         return self._base.query_line(gu, axis, lo + shift, hi + shift) >> shift
 
 
-class InducedVertexOracle(VertexOracle):
-    """Vertex oracle over the block grid of a partition pair.
+class _BlockGridOracle(VertexOracle):
+    """Vertex oracle over a 2-D grid of blocks.
 
-    A vertex query on block (x, y) finds the block's sink with the supplied
-    sub-solver (edge queries restricted to the block), then queries every
-    base edge incident to that sink, one line query along its row and one
-    along its column; block x points to block y iff the sink has at least
-    one outgoing edge into y.  All base costs land on the shared base edge
-    counter; this handle's own counter counts block-level vertex queries.
+    A query on block xy runs the sub-solver inside the block (in
+    :meth:`_solve_block`), which also reads the block sink's out masks along
+    the two block axes; those masks answer the query.  Base costs land on the
+    base handle's counter; this handle's own counter counts block-level
+    vertex queries, and it keeps no transcript.
     """
 
-    def __init__(
-        self,
-        base,
-        parts: PartitionPair,
-        sub_solver: Callable[[_BlockEdgeView], Vertex],
-        record: bool = True,
-    ):
-        super().__init__(record)
-        if parts.covers != (base.shape.rows, base.shape.cols):
-            raise GridError(
-                f"partition covers {parts.covers}, base oracle is "
-                f"{base.shape.rows}x{base.shape.cols}"
-            )
+    def __init__(self, base, sub_solver: Callable, shape: GridShape):
+        super().__init__(record=False)
         self._base = base
-        self._parts = parts
         self._sub = sub_solver
-        self._block_sinks: dict[Vertex, Vertex] = {}
-        self.shape = parts.block_shape
+        self._block_sinks: dict[Vertex, tuple] = {}
+        self.shape = shape
 
-    def block_sink(self, xy: Vertex) -> Vertex:
+    def block_sink(self, xy: Vertex) -> tuple:
         """Base-grid sink of an already-queried block."""
         return self._block_sinks[xy]
 
     def _answer(self, xy: Vertex) -> VertexAnswer:
         if not self.shape.contains(xy):
             raise GridError(f"block {xy} out of bounds for {self.shape}")
+        sink, out = self._solve_block(xy)
+        self._block_sinks[xy] = sink
+        sizes = (self.shape.rows, self.shape.cols)
+        return VertexAnswer.from_masks(xy, _in_masks(xy, sizes, out), out)
+
+    def _solve_block(self, xy: Vertex) -> tuple[tuple, tuple[int, int]]:
+        """The block's sink in base coordinates and its out masks over the
+        blocks along axes 0 and 1; SubSolverError unless it is the sink."""
+        raise NotImplementedError
+
+
+class InducedVertexOracle(_BlockGridOracle):
+    """Vertex oracle over the block grid of a partition pair.
+
+    A vertex query on block (x, y) finds the block's sink with the supplied
+    sub-solver (edge queries restricted to the block), then queries every
+    base edge incident to that sink, one line query along its row and one
+    along its column; block x points to block y iff the sink has at least
+    one outgoing edge into y.
+    """
+
+    def __init__(self, base, parts: PartitionPair,
+                 sub_solver: Callable[[_BlockEdgeView], Vertex]):
+        if parts.covers != (base.shape.rows, base.shape.cols):
+            raise GridError(
+                f"partition covers {parts.covers}, base oracle is "
+                f"{base.shape.rows}x{base.shape.cols}"
+            )
+        super().__init__(base, sub_solver, parts.block_shape)
+        self._parts = parts
+
+    def _solve_block(self, xy: Vertex) -> tuple[Vertex, tuple[int, int]]:
         x, y = xy
         r0, r1 = self._parts.row_blocks[x]
         c0, c1 = self._parts.col_blocks[y]
@@ -492,12 +513,9 @@ class InducedVertexOracle(VertexOracle):
         col_out = self._base.query_line(u, 0, 0, self._base.shape.rows)
         if row_out & _full(c1) >> c0 << c0 or col_out & _full(r1) >> r0 << r0:
             raise SubSolverError(f"sub-solver sink {u} has an outgoing edge in block {xy}")
-        self._block_sinks[xy] = u
         # A block points out along a line iff some base edge into it does.
-        out = (_block_mask(col_out, self._parts.row_blocks),
-               _block_mask(row_out, self._parts.col_blocks))
-        sizes = (self.shape.rows, self.shape.cols)
-        return VertexAnswer.from_masks(xy, _in_masks(xy, sizes, out), out)
+        return u, (_block_mask(col_out, self._parts.row_blocks),
+                   _block_mask(row_out, self._parts.col_blocks))
 
 
 class PaddedEdgeOracle:
@@ -580,7 +598,7 @@ class _FixedAxesView:
         return VertexAnswer.from_masks(sub, ans.lines_in[k:], ans.lines_out[k:])
 
 
-class InheritedVertexOracle(VertexOracle):
+class InheritedVertexOracle(_BlockGridOracle):
     """2-dimensional vertex oracle over the blocks of the first two axes.
 
     A query on block (x, y) pins axes 0 and 1 to (x, y) and runs the
@@ -590,26 +608,12 @@ class InheritedVertexOracle(VertexOracle):
     block edges costs no extra real queries.
     """
 
-    def __init__(
-        self,
-        base,
-        sub_solver: Callable[[_FixedAxesView], tuple],
-        record: bool = True,
-    ):
-        super().__init__(record)
+    def __init__(self, base, sub_solver: Callable[[_FixedAxesView], tuple]):
         if len(base.dims) < 2:
             raise GridError(f"inherited oracle needs two axes, dims are {base.dims}")
-        self._base = base
-        self._sub = sub_solver
-        self._block_sinks: dict[Vertex, tuple] = {}
-        self.shape = GridShape(*base.dims[:2])
+        super().__init__(base, sub_solver, GridShape(*base.dims[:2]))
 
-    def block_sink(self, xy: Vertex) -> tuple:
-        return self._block_sinks[xy]
-
-    def _answer(self, xy: Vertex) -> VertexAnswer:
-        if not self.shape.contains(xy):
-            raise GridError(f"block {xy} out of bounds for {self.shape}")
+    def _solve_block(self, xy: Vertex) -> tuple[tuple, tuple[int, int]]:
         view = _FixedAxesView(self._base, xy)
         full = view.lift(tuple(self._sub(view)))
         ans = self._base.query(full)  # cached: the sub-solver queried its sink last
@@ -617,5 +621,4 @@ class InheritedVertexOracle(VertexOracle):
             raise SubSolverError(
                 f"sub-solver sink {full} has an outgoing edge inside block {xy}"
             )
-        self._block_sinks[xy] = full
-        return VertexAnswer.from_masks(xy, ans.lines_in[:2], ans.lines_out[:2])
+        return full, ans.lines_out[:2]

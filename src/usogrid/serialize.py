@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from . import kernels
-from .dgrid import DOrientedGrid, ddim_edge_list
+from .dgrid import DOrientedGrid
 from .errors import GridError
 from .grid import Direction, GridShape, OrientedGrid, ValueMatrix, brute_force_sink
 from .oracles import TranscriptRecord, VertexAnswer
@@ -45,13 +45,13 @@ def values_to_json(vm: ValueMatrix) -> dict:
 
 
 def grid_to_json(grid: DOrientedGrid) -> dict:
-    """An explicit grid as a file: ``"shape"`` and the kernels' edge order
-    for an :class:`OrientedGrid`, ``"dims"`` and :func:`ddim_edge_list`
-    order for any other grid."""
+    """An explicit grid as a file: ``"shape"`` and the 2-D edge-word order
+    for an :class:`OrientedGrid`, ``"dims"`` and the axis order 0..d-1 for
+    any other grid (see :func:`usogrid.kernels.edge_list`)."""
     planar = isinstance(grid, OrientedGrid)
-    pairs = kernels.edge_list(*grid.dims) if planar else ddim_edge_list(grid.dims)
+    axes = kernels.PLANAR_AXES if planar else range(len(grid.dims))
     edges = [{"a": _v_out(a), "b": _v_out(b), "dir": "ab" if grid.points_to(a, b) else "ba"}
-             for a, b in pairs]
+             for a, b in kernels.edge_list(grid.dims, axes)]
     return {"shape" if planar else "dims": list(grid.dims), "edges": edges}
 
 
@@ -132,12 +132,7 @@ def _grid_source(doc: dict) -> ValueMatrix | OrientedGrid | DOrientedGrid:
         if vm.values.shape != (m, n):
             raise GridError(f"values are {vm.values.shape}, shape says {(m, n)}")
         return vm
-    shape = GridShape(m, n)
-    pairs = _directed_pairs(doc["edges"])
-    for tail, head in pairs:
-        if len(tail) != 2 or len(head) != 2:
-            raise GridError("2-dimensional edge endpoints must be [row, col]")
-    return OrientedGrid(shape, pairs)
+    return OrientedGrid(GridShape(m, n), _directed_pairs(doc["edges"]))
 
 
 def load_grid_file(path) -> GridDoc:

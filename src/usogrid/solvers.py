@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import GridError, NotUsoError
-from .grid import Vertex
+from .grid import GridShape, Vertex
 from .oracles import (
     InducedVertexOracle,
     InheritedVertexOracle,
@@ -152,6 +152,12 @@ def _square_phase(oracle, state: EliminationState) -> Vertex:
     return state.sink
 
 
+def _check_shape(oracle, m: int, n: int) -> None:
+    """GridError unless ``oracle`` answers for an m x n grid."""
+    if oracle.shape != GridShape(m, n):
+        raise GridError(f"oracle shape {oracle.shape} does not match {m}x{n}")
+
+
 def rectangular_solve(oracle, m: int, n: int) -> tuple[Vertex, QueryCounter]:
     """Find the sink of an m x n grid USO with at most m + n - 1 vertex queries.
 
@@ -161,6 +167,7 @@ def rectangular_solve(oracle, m: int, n: int) -> tuple[Vertex, QueryCounter]:
     the uncovered row re-covers a fresh column; once m columns remain, the
     square procedure eliminates one row and one column per query.
     """
+    _check_shape(oracle, m, n)
     if m > n:
         sink, counter = rectangular_solve(TransposedVertexOracle(oracle), n, m)
         return (sink[1], sink[0]), counter
@@ -273,9 +280,7 @@ def _dc_square(edge_o, n: int, schedule: KSchedule) -> Vertex:
         return _sink_by_all_edges(edge_o, n)
     k = schedule.k(n)
     parts = PartitionPair.near_equal(n, n, k, k)
-    induced = InducedVertexOracle(
-        edge_o, parts, lambda view: _dc_any(view, schedule), record=False
-    )
+    induced = InducedVertexOracle(edge_o, parts, lambda view: _dc_any(view, schedule))
     block, _ = diagonal_solve(induced, k)
     return induced.block_sink(block)
 
@@ -301,10 +306,7 @@ def dc_edge_solve(
     the per-block recursion.  Counts stay within :func:`dc_edge_bound`,
     8 * n * 2^(2*sqrt(log2 n)) base edge queries.
     """
-    if (m, n) != (oracle.shape.rows, oracle.shape.cols):
-        raise GridError(
-            f"oracle shape {oracle.shape.rows}x{oracle.shape.cols} does not match {m}x{n}"
-        )
+    _check_shape(oracle, m, n)
     return _dc_any(oracle, schedule), oracle.counter.snapshot()
 
 
@@ -315,9 +317,7 @@ def _ddim_sink(oracle, dims: tuple[int, ...]):
         return ()
     if len(dims) == 1:
         return _walk(oracle, (0,), min)
-    inherited = InheritedVertexOracle(
-        oracle, lambda view: _ddim_sink(view, view.dims), record=False
-    )
+    inherited = InheritedVertexOracle(oracle, lambda view: _ddim_sink(view, view.dims))
     block, _ = rectangular_solve(inherited, dims[0], dims[1])
     return inherited.block_sink(block)
 

@@ -214,8 +214,10 @@ class TestMalformedFiles:
         b'{"shape": [1, 2], "edges": [{"a": [true, 1], "b": [1, "2"], "dir": "ab"}]}',
         b'{"shape": [1.9, 2], "values": [[1, 2]]}',
         b'{"dims": [2.7], "edges": [{"a": [1], "b": [2], "dir": "ab"}]}',
+        b'{"shape": [1, 2], "edges": [{"a": [1, 1, 1], "b": [1, 2, 1], "dir": "ab"}]}',
     ], ids=["shape-3d", "non-number", "edge-without-b", "not-an-object", "not-utf8",
-            "float-coordinate", "bool-and-string-coordinates", "float-shape", "float-dims"])
+            "float-coordinate", "bool-and-string-coordinates", "float-shape", "float-dims",
+            "shape-edge-with-3-coordinates"])
     def test_validate_and_solve_exit_2(self, tmp_path, capsys, content):
         path = tmp_path / "bad.json"
         path.write_bytes(content)

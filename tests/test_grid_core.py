@@ -22,12 +22,8 @@ from usogrid import (
     topological_values,
     validate_uso,
 )
-from usogrid.dgrid import (
-    DOrientedGrid,
-    ddim_edge_count,
-    ddim_edge_list,
-    validate_uso_ddim,
-)
+from usogrid import kernels
+from usogrid.dgrid import DOrientedGrid, validate_uso_ddim
 from usogrid.grid import Direction, Edge, GridShape
 from usogrid.serialize import GridDoc
 
@@ -200,11 +196,31 @@ class TestEnumerationClosure:
                 GridShape(1, 2), [((0, 0), (0, 1)), ((0, 1), (0, 0))]
             )
 
+    def test_same_direction_duplicate_standing_in_for_a_missing_edge(self):
+        # Three edges given for the three edges of a 1x3 grid, but (0,1)-(0,2)
+        # is missing and (0,0)->(0,1) comes twice: the count alone looks right.
+        with pytest.raises(GridError, match="oriented more than once"):
+            OrientedGrid(GridShape(1, 3),
+                         [((0, 0), (0, 1)), ((0, 0), (0, 2)), ((0, 0), (0, 1))])
+
+    def test_reversed_duplicate(self):
+        with pytest.raises(GridError, match="oriented more than once"):
+            OrientedGrid(GridShape(1, 3),
+                         [((0, 0), (0, 1)), ((0, 2), (0, 0)), ((0, 1), (0, 0))])
+
+    def test_duplicate_in_a_d_axis_grid(self):
+        edges = kernels.edge_list((2, 1, 2), range(3))
+        with pytest.raises(GridError, match="oriented more than once"):
+            DOrientedGrid((2, 1, 2), edges[:-1] + [edges[0][::-1]])
+        with pytest.raises(GridError, match="oriented more than once"):
+            DOrientedGrid((2, 1, 2), edges + [edges[2]])
+        assert DOrientedGrid((2, 1, 2), edges).dims == (2, 1, 2)
+
 
 class TestDdim:
     def test_edge_count(self):
-        assert ddim_edge_count((2, 2, 2)) == 12
-        assert len(ddim_edge_list((2, 3, 2))) == ddim_edge_count((2, 3, 2))
+        assert kernels.edge_count(2, 2, 2) == 12
+        assert len(kernels.edge_list((2, 3, 2), range(3))) == kernels.edge_count(2, 3, 2)
 
     def test_one_dim_size_two_both_ways(self):
         for word in (0, 1):

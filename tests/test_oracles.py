@@ -27,7 +27,7 @@ from usogrid import (
     validate_uso,
     vertex_oracle,
 )
-from usogrid.dgrid import DOrientedGrid, ddim_edge_count
+from usogrid.dgrid import DOrientedGrid
 from usogrid.gen import contiguous_partitions
 from usogrid.grid import Edge, GridShape, OrientedGrid
 from usogrid.oracles import (
@@ -252,7 +252,7 @@ class TestInducedOracle:
         vm = gen_one_line(n, n, 13)
         base = edge_oracle(vm, record=False)
         parts = PartitionPair.near_equal(n, n, k, k)
-        ind = InducedVertexOracle(base, parts, _brute_sub_solver, record=False)
+        ind = InducedVertexOracle(base, parts, _brute_sub_solver)
         for x in range(k):
             for y in range(k):
                 before = base.counter.edge_queries
@@ -592,9 +592,7 @@ def test_lemma3_style_sweep_materialized_block_grids():
                         for cblocks in contiguous_partitions(n, l):
                             parts = PartitionPair(rblocks, cblocks)
                             base = edge_oracle(vm, record=False)
-                            ind = InducedVertexOracle(
-                                base, parts, _brute_sub_solver, record=False
-                            )
+                            ind = InducedVertexOracle(base, parts, _brute_sub_solver)
                             edges = []
                             for x in range(k):
                                 for y in range(l):
@@ -658,7 +656,7 @@ class TestLineMaskAnswers:
            st.integers(0, 10**6))
     def test_ddim_and_fixed_axes(self, dims, raw, seed):
         dims = tuple(dims)
-        g = DOrientedGrid.from_edge_word(dims, raw % (1 << ddim_edge_count(dims)))
+        g = DOrientedGrid.from_edge_word(dims, raw % (1 << kernels.edge_count(*dims)))
         base = SourceVertexOracle(g)
         rng = random.Random(seed)
         for v in g.vertices():
@@ -732,7 +730,8 @@ def _ddim_grids():
     for d in (1, 2, 3):
         for dims in itertools.product(range(1, 4), repeat=d):
             for _ in range(4):
-                yield DOrientedGrid.from_edge_word(dims, rng.getrandbits(ddim_edge_count(dims)))
+                word = rng.getrandbits(kernels.edge_count(*dims))
+                yield DOrientedGrid.from_edge_word(dims, word)
 
 
 def _value_sources():
@@ -767,7 +766,7 @@ class TestSourceProtocol:
     @staticmethod
     def _check_edge_answers(source, grid):
         ov, oe = vertex_oracle(source, record=False), edge_oracle(source, record=False)
-        for a, b in kernels.edge_list(*grid.dims):
+        for a, b in kernels.edge_list(grid.dims, (1, 0)):
             head = oe.query_edge(a, b)
             assert head == (b if b in ov.query(a).outgoing else a)
             assert head == (a if a in ov.query(b).outgoing else b)

@@ -22,7 +22,7 @@ from usogrid import (
     oracles,
     vertex_oracle,
 )
-from usogrid.dgrid import DOrientedGrid, ddim_edge_count
+from usogrid.dgrid import DOrientedGrid
 from usogrid.grid import OrientedGrid
 from usogrid.oracles import TransposedVertexOracle
 from usogrid.solvers import (
@@ -188,6 +188,29 @@ class TestRectangularSolve:
             sink, counter = rectangular_solve(o, 8, 13)
             assert sink == vm.argmin_vertex()
             assert counter.vertex_queries <= 20
+
+    @pytest.mark.parametrize("solve", [
+        lambda o: rectangular_solve(o, 3, 3),
+        lambda o: rectangular_solve(o, 4, 5),
+        lambda o: diagonal_solve(o, 3),
+    ], ids=["rect-3x3", "rect-4x5", "diagonal-3"])
+    def test_shape_mismatch_is_a_grid_error(self, solve):
+        o = vertex_oracle(gen_one_line(4, 4, 1))
+        with pytest.raises(GridError, match="does not match"):
+            solve(o)
+        assert o.counter.vertex_queries == 0
+
+    def test_three_axis_source_is_a_grid_error(self):
+        with pytest.raises(GridError):
+            rectangular_solve(vertex_oracle(gen_separable_ddim((2, 2, 2), 0)), 2, 2)
+
+    @pytest.mark.parametrize("dims", [(4, 3), (3, 4), (5, 2)])
+    def test_two_axis_dims_grid_either_way(self, dims):
+        for seed in range(5):
+            g = gen_separable_ddim(dims, seed)
+            sink, counter = rectangular_solve(vertex_oracle(g), *dims)
+            assert sink == brute_force_sink(g)
+            assert counter.vertex_queries <= rectangular_bound(*dims)
 
     def test_sink_never_eliminated_and_monotone(self):
         # replant the engine by hand to watch the eliminated set grow
@@ -519,12 +542,12 @@ class TestTermination:
 
     @pytest.mark.parametrize("dims", [(3,), (4,)])
     def test_ddim_all_line_orientations(self, dims):
-        for word in range(1 << ddim_edge_count(dims)):
+        for word in range(1 << kernels.edge_count(*dims)):
             _check_ddim(DOrientedGrid.from_edge_word(dims, word))
 
     def test_ddim_sampled_2x2x3(self):
         dims = (2, 2, 3)
         rng = random.Random(13)
-        bits = ddim_edge_count(dims)
+        bits = kernels.edge_count(*dims)
         for _ in range(300):
             _check_ddim(DOrientedGrid.from_edge_word(dims, rng.getrandbits(bits)))
