@@ -27,8 +27,6 @@ from .gen import (
     pad_values_to_square,
 )
 from .grid import (
-    Direction,
-    Edge,
     GridShape,
     OrientedGrid,
     UsoViolation,

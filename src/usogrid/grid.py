@@ -9,15 +9,15 @@ Coordinates are 0-based throughout the Python API; the JSON layer
 :class:`usogrid.dgrid.DOrientedGrid`: every edge direction is stored, as one
 column and one row line mask per vertex, so that non-USO candidates can be
 represented and rejected; value matrices are a constructor, not the
-canonical form.  The sink scan and the cycle search below take a grid of
-any dimension.
+canonical form.  As everywhere in the core, an edge is a (tail, head) pair
+of vertices and ``points_to`` gives its direction.  The sink scan and the
+cycle search below take a grid of any dimension.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -57,44 +57,12 @@ class GridShape:
         return self.rows * self.cols
 
     def contains(self, v: Vertex) -> bool:
-        return 0 <= v[0] < self.rows and 0 <= v[1] < self.cols
+        return len(v) == 2 and 0 <= v[0] < self.rows and 0 <= v[1] < self.cols
 
     def vertices(self) -> Iterator[Vertex]:
         for i in range(self.rows):
             for j in range(self.cols):
                 yield (i, j)
-
-
-class Direction(Enum):
-    """Orientation of a canonical edge: AB points from ``a`` to ``b``."""
-
-    AB = "ab"
-    BA = "ba"
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Unordered grid edge, stored with the lexicographically smaller endpoint first."""
-
-    a: Vertex
-    b: Vertex
-
-    def __post_init__(self) -> None:
-        a, b = self.a, self.b
-        if a == b:
-            raise GridError(f"edge endpoints must differ, got {a} twice")
-        if a[0] != b[0] and a[1] != b[1]:
-            raise GridError(f"edge endpoints must share a row or a column: {a}, {b}")
-        if b < a:
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
-
-    def other(self, v: Vertex) -> Vertex:
-        if v == self.a:
-            return self.b
-        if v == self.b:
-            return self.a
-        raise GridError(f"{v} is not an endpoint of {self}")
 
 
 def _bool_mask(flags: np.ndarray) -> int:
@@ -178,10 +146,9 @@ class OrientedGrid(DOrientedGrid):
 
     Axis 0 is the row coordinate, so ``lines[0][k]`` (bits over rows) holds
     the column through vertex k and ``lines[1][k]`` (bits over columns) its
-    row.  This class adds the 2-D vocabulary: :class:`GridShape`,
-    :class:`Edge`/:class:`Direction`, restriction, permutation and the
-    kernels' row-edges-first edge words.  Immutable after construction; safe
-    to share across threads.
+    row.  This class adds only what 2-D callers read: its :class:`GridShape`,
+    restriction to a subgrid and the kernels' row-edges-first edge words.
+    Immutable after construction; safe to share across threads.
     """
 
     __slots__ = ("shape",)
@@ -207,18 +174,6 @@ class OrientedGrid(DOrientedGrid):
         """Decode a kernel edge word (see :mod:`usogrid.kernels`)."""
         return cls._from_lines((m, n), kernels.word_to_lines((m, n), word, kernels.PLANAR_AXES))
 
-    def direction_of(self, e: Edge) -> Direction:
-        """Stored direction of ``e``; pure lookup, no query accounting."""
-        return Direction.AB if self.points_to(e.a, e.b) else Direction.BA
-
-    def head_of(self, e: Edge) -> Vertex:
-        """The endpoint the edge points to."""
-        return e.b if self.direction_of(e) is Direction.AB else e.a
-
-    def edges(self) -> Iterator[Edge]:
-        for a, b in kernels.edge_list(self.dims, kernels.PLANAR_AXES):
-            yield Edge(a, b)
-
     def restrict(self, rows: Iterable[int], cols: Iterable[int]) -> "OrientedGrid":
         """Induced sub-orientation, re-indexed to |rows| x |cols|.
 
@@ -235,43 +190,11 @@ class OrientedGrid(DOrientedGrid):
         for j in csel:
             if not 0 <= j < self.shape.cols:
                 raise GridError(f"column {j} out of bounds")
-        return self._reindex(rsel, csel)
-
-    def transpose(self) -> "OrientedGrid":
-        return self.permute(range(self.shape.rows), range(self.shape.cols), swap=True)
-
-    def permute(
-        self, row_order: Iterable[int], col_order: Iterable[int], swap: bool = False
-    ) -> "OrientedGrid":
-        """Relabel coordinates: result position p holds input row ``row_order[p]``.
-
-        With ``swap`` the two axes are also exchanged (transposition).
-        """
-        rord = list(row_order)
-        cord = list(col_order)
-        if sorted(rord) != list(range(self.shape.rows)) or sorted(cord) != list(
-            range(self.shape.cols)
-        ):
-            raise GridError("row/column orders must be permutations")
-        return self._reindex(rord, cord, swap)
-
-    def _reindex(self, rows: list[int], cols: list[int], swap: bool = False) -> "OrientedGrid":
-        """Vertex (p, q) of the result is input vertex (rows[p], cols[q]), or
-        vertex (q, p) with ``swap``; bit p of a line becomes bit rows[p]."""
         col_lines, row_lines = self.lines
         n = self.shape.cols
-        new_col, new_row = [], []
-        for i in rows:
-            for j in cols:
-                new_col.append(_select_bits(col_lines[i * n + j], rows))
-                new_row.append(_select_bits(row_lines[i * n + j], cols))
-        r, c = len(rows), len(cols)
-        if not swap:
-            return OrientedGrid._from_lines((r, c), (new_col, new_row))
-        # Transposed, vertex (q, p) runs along the old row on axis 0.
-        order = [p * c + q for q in range(c) for p in range(r)]
-        return OrientedGrid._from_lines(
-            (c, r), ([new_row[k] for k in order], [new_col[k] for k in order]))
+        return OrientedGrid._from_lines((len(rsel), len(csel)), (
+            [_select_bits(col_lines[i * n + j], rsel) for i in rsel for j in csel],
+            [_select_bits(row_lines[i * n + j], csel) for i in rsel for j in csel]))
 
 
 def _select_bits(mask: int, order: Sequence[int]) -> int:

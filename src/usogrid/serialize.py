@@ -1,4 +1,4 @@
-"""JSON boundary: grid files and transcript JSON lines.
+"""JSON boundary: grid files.
 
 This is where coordinates turn 1-based.  Grid files carry either a value
 matrix or an explicit edge list, never both::
@@ -6,6 +6,10 @@ matrix or an explicit edge list, never both::
     {"shape": [m, n], "values": [[...], ...]}
     {"shape": [m, n], "edges": [{"a": [i, j], "b": [i, j], "dir": "ab"|"ba"}, ...]}
     {"dims": [n1, ..., nd], "edges": [...]}        (coordinate-tuple endpoints)
+
+An edge's ``"dir"`` is ``"ab"`` when it points from ``"a"`` to ``"b"``.
+Oracle transcripts have no file format; they stay in memory for
+:func:`usogrid.oracles.replay_transcript`.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ from dataclasses import dataclass
 from . import kernels
 from .dgrid import DOrientedGrid
 from .errors import GridError
-from .grid import Direction, GridShape, OrientedGrid, ValueMatrix, brute_force_sink
-from .oracles import TranscriptRecord, VertexAnswer
+from .grid import GridShape, OrientedGrid, ValueMatrix, brute_force_sink
 
 
 def _v_out(v) -> list[int]:
@@ -138,52 +141,3 @@ def _grid_source(doc: dict) -> ValueMatrix | OrientedGrid | DOrientedGrid:
 def load_grid_file(path) -> GridDoc:
     with open(path, "r", encoding="utf-8") as fh:
         return load_grid(json.load(fh))
-
-
-def transcript_to_jsonl(records: list[TranscriptRecord]) -> str:
-    """One JSON object per line: {"q": {...}, "a": {...}}, for audit and replay."""
-    lines = []
-    for rec in records:
-        if rec[0] == "vertex":
-            _, v, answer = rec
-            obj = {
-                "q": {"kind": "vertex", "v": _v_out(v)},
-                "a": {
-                    "in": sorted(_v_out(w) for w in answer.incoming),
-                    "out": sorted(_v_out(w) for w in answer.outgoing),
-                },
-            }
-        elif rec[0] == "edge":
-            _, (a, b), head = rec
-            obj = {
-                "q": {"kind": "edge", "a": _v_out(a), "b": _v_out(b)},
-                "a": {"dir": Direction.AB.value if head == b else Direction.BA.value},
-            }
-        else:
-            raise GridError(f"unknown transcript record kind {rec[0]!r}")
-        lines.append(json.dumps(obj, separators=(",", ":")))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def transcript_from_jsonl(text: str) -> list[TranscriptRecord]:
-    records: list[TranscriptRecord] = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        q, a = obj["q"], obj["a"]
-        if q["kind"] == "vertex":
-            v = _v_in(q["v"])
-            answer = VertexAnswer(
-                v,
-                frozenset(_v_in(w) for w in a["in"]),
-                frozenset(_v_in(w) for w in a["out"]),
-            )
-            records.append(("vertex", v, answer))
-        elif q["kind"] == "edge":
-            ea, eb = _v_in(q["a"]), _v_in(q["b"])
-            head = eb if a["dir"] == "ab" else ea
-            records.append(("edge", (ea, eb), head))
-        else:
-            raise GridError(f"unknown transcript query kind {q['kind']!r}")
-    return records

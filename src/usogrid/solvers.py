@@ -331,8 +331,9 @@ def ddim_solve(oracle, dims) -> tuple[tuple, QueryCounter]:
     satisfy the unrolled bound of :func:`ddim_bound`.
     """
     dims = tuple(dims)
-    if dims != tuple(oracle.dims):
-        raise GridError(f"oracle dims {oracle.dims} do not match {dims}")
+    have = getattr(oracle, "dims", None)
+    if have is None or dims != tuple(have):
+        raise GridError(f"oracle dims {have} do not match {dims}")
     sink = _ddim_sink(oracle, dims)
     return sink, oracle.counter.snapshot()
 

@@ -24,7 +24,7 @@ from usogrid import (
 )
 from usogrid import kernels
 from usogrid.dgrid import DOrientedGrid, validate_uso_ddim
-from usogrid.grid import Direction, Edge, GridShape
+from usogrid.grid import GridShape
 from usogrid.serialize import GridDoc
 
 from uso_counts import USO_COUNTS
@@ -32,25 +32,6 @@ from uso_counts import USO_COUNTS
 
 def grid_1234() -> OrientedGrid:
     return OrientedGrid.from_values(ValueMatrix([[1, 2], [3, 4]]))
-
-
-class TestEdgeAndDirection:
-    def test_canonicalization(self):
-        e = Edge((1, 1), (0, 1))
-        assert (e.a, e.b) == ((0, 1), (1, 1))
-
-    def test_rejects_non_colinear(self):
-        with pytest.raises(GridError):
-            Edge((0, 0), (1, 1))
-        with pytest.raises(GridError):
-            Edge((0, 0), (0, 0))
-
-    def test_direction_of(self):
-        g = grid_1234()
-        assert g.direction_of(Edge((0, 0), (0, 1))) is Direction.BA  # toward (0,0)
-        assert g.head_of(Edge((0, 0), (1, 0))) == (0, 0)  # 3 > 1
-        with pytest.raises(GridError):
-            g.direction_of(Edge((0, 0), (0, 5)))
 
 
 class TestOutNeighbors:
@@ -164,6 +145,29 @@ class TestRestrict:
         with pytest.raises(GridError):
             grid_1234().restrict([], [0])
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**64), st.data())
+    def test_matches_pairs_read_from_points_to(self, m, n, raw, data):
+        # Any edge word, USO or not; row and column lists unsorted, with repeats.
+        g = OrientedGrid.from_edge_word(m, n, raw % (1 << kernels.edge_count(m, n)))
+        rows = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6))
+        cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+        rsel, csel = sorted(set(rows)), sorted(set(cols))
+        verts = [(p, q) for p in range(len(rsel)) for q in range(len(csel))]
+        pairs = []
+        for a, b in itertools.combinations(verts, 2):
+            if a[0] == b[0] or a[1] == b[1]:
+                tail_first = g.points_to((rsel[a[0]], csel[a[1]]), (rsel[b[0]], csel[b[1]]))
+                pairs.append((a, b) if tail_first else (b, a))
+        expected = OrientedGrid(GridShape(len(rsel), len(csel)), pairs)
+        assert g.restrict(rows, cols) == expected
+
+    @pytest.mark.parametrize("rows,cols", [([2], [0]), ([-1], [0]), ([0], [3]),
+                                           ([0, 1], [1, -1])])
+    def test_out_of_range_rejected(self, rows, cols):
+        with pytest.raises(GridError, match="out of bounds"):
+            OrientedGrid.from_values(gen_one_line(2, 3, 0)).restrict(rows, cols)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))
     def test_every_subgrid_of_uso_has_sink(self, seed):
@@ -183,10 +187,14 @@ class TestEnumerationClosure:
     def test_2x2_closed_under_symmetries(self):
         usos = set(enumerate_usos((2, 2)))
         assert len(usos) == USO_COUNTS[2, 2]
+        relabels = [lambda v: (1 - v[0], v[1]), lambda v: (v[0], 1 - v[1]),
+                    lambda v: (v[1], v[0])]  # row flip, column flip, swap
         for g in usos:
-            assert g.permute([1, 0], [0, 1]) in usos
-            assert g.permute([0, 1], [1, 0]) in usos
-            assert g.transpose() in usos
+            pairs = [(a, b) if g.points_to(a, b) else (b, a)
+                     for a, b in kernels.edge_list(g.dims, kernels.PLANAR_AXES)]
+            for relabel in relabels:
+                image = [(relabel(t), relabel(h)) for t, h in pairs]
+                assert OrientedGrid(GridShape(2, 2), image) in usos
 
     def test_totality_enforced(self):
         with pytest.raises(GridError):

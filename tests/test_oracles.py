@@ -29,7 +29,7 @@ from usogrid import (
 )
 from usogrid.dgrid import DOrientedGrid
 from usogrid.gen import contiguous_partitions
-from usogrid.grid import Edge, GridShape, OrientedGrid
+from usogrid.grid import GridShape, OrientedGrid
 from usogrid.oracles import (
     InheritedVertexOracle,
     SourceVertexOracle,
@@ -88,11 +88,10 @@ class TestEdgeOracle:
     def test_four_edges_determine_2x2_sink(self):
         g = grid_1234()
         o = edge_oracle(g)
-        heads = [o.query_edge(e.a, e.b) for e in g.edges()]
+        edges = kernels.edge_list(g.dims, kernels.PLANAR_AXES)
+        heads = [o.query_edge(a, b) for a, b in edges]
         assert o.counter.edge_queries == 4
-        tails = set()
-        for e, head in zip(g.edges(), heads):
-            tails.add(e.other(head))
+        tails = {a if head == b else b for (a, b), head in zip(edges, heads)}
         (sink,) = set(g.shape.vertices()) - tails
         assert sink == brute_force_sink(g)
 
@@ -126,6 +125,45 @@ class TestTranscriptReplay:
         o.query((1, 1))
         other = OrientedGrid.from_values(ValueMatrix([[4, 3], [2, 1]]))
         assert not replay_transcript(o.transcript, vertex_oracle(other))
+
+    def test_edge_replay(self):
+        vm = gen_one_line(2, 3, 9)
+        o = edge_oracle(vm)
+        o.query_edge((0, 0), (0, 2))
+        o.query_edge((1, 1), (0, 1))
+        assert [rec[0] for rec in o.transcript] == ["edge", "edge"]
+        assert replay_transcript(o.transcript, edge_oracle(vm))
+
+    def test_edge_replay_detects_mismatch(self):
+        o = edge_oracle(grid_1234())
+        o.query_edge((0, 1), (0, 0))
+        other = OrientedGrid.from_values(ValueMatrix([[4, 3], [2, 1]]))
+        assert not replay_transcript(o.transcript, edge_oracle(other))
+
+
+class TestVertexArity:
+    """A vertex with other than two coordinates is a GridError at every 2-D
+    handle, never a silent answer or an untyped error."""
+
+    @staticmethod
+    def _induced():
+        return InducedVertexOracle(edge_oracle(gen_one_line(4, 4, 2)),
+                                   PartitionPair.near_equal(4, 4, 2, 2), _brute_sub_solver)
+
+    @pytest.mark.parametrize("query", [
+        lambda: PaddedEdgeOracle(edge_oracle(gen_one_line(3, 4, 1)), 4).query_line(
+            (3, 0, 0), 1, 0, 4),
+        lambda: PaddedEdgeOracle(edge_oracle(gen_one_line(3, 4, 1)), 4).query_edge(
+            (3, 0, 0), (3, 0, 1)),
+        lambda: AdversaryVertexOracle((3, 3)).query((0, 0, 0)),
+        lambda: AdversaryVertexOracle((3, 3)).query((0,)),
+        lambda: TestVertexArity._induced().query((0, 0, 1)),
+        lambda: TestVertexArity._induced().query((0,)),
+    ], ids=["padded-line", "padded-edge", "adversary-3", "adversary-1", "induced-3",
+            "induced-1"])
+    def test_wrong_arity_is_a_grid_error(self, query):
+        with pytest.raises(GridError, match="out of bounds"):
+            query()
 
 
 class TestAdversary:
@@ -358,8 +396,8 @@ class TestPadOracle:
             vm = gen_one_line(m, n, seed)
             gp = OrientedGrid.from_values(pad_values_to_square(vm))
             padded = PaddedEdgeOracle(edge_oracle(vm), max(m, n))
-            for e in gp.edges():
-                assert padded.query_edge(e.a, e.b) == gp.head_of(e)
+            for a, b in kernels.edge_list(gp.dims, kernels.PLANAR_AXES):
+                assert padded.query_edge(a, b) == (b if gp.points_to(a, b) else a)
 
     def test_solving_padded_grid_gives_base_sink(self):
         for seed in range(25):
@@ -615,6 +653,12 @@ def _neighbour_sets(g, v):
     return frozenset(g.neighbors(v)) - out, out
 
 
+def _swapped_sets(g, v):
+    """The neighbour sets of ``v`` in the transpose of the 2-D grid ``g``:
+    every coordinate pair swapped."""
+    return tuple(frozenset((w[1], w[0]) for w in ws) for ws in _neighbour_sets(g, v))
+
+
 def _check_answer(answer, incoming, outgoing):
     """The mask answer derives the given sets, and the answer built from
     those sets compares and hashes equal to it."""
@@ -632,24 +676,22 @@ class TestLineMaskAnswers:
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**64))
     def test_explicit_and_transposed(self, m, n, raw):
         g = OrientedGrid.from_edge_word(m, n, raw % (1 << kernels.edge_count(m, n)))
-        gt = g.transpose()
         explicit = SourceVertexOracle(g)
         transposed = TransposedVertexOracle(SourceVertexOracle(g))
         for i, j in g.shape.vertices():
             _check_answer(explicit.query((i, j)), *_neighbour_sets(g, (i, j)))
-            _check_answer(transposed.query((j, i)), *_neighbour_sets(gt, (j, i)))
+            _check_answer(transposed.query((j, i)), *_swapped_sets(g, (i, j)))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 10**6))
     def test_values_and_transposed(self, m, n, seed):
         vm = gen_one_line(m, n, seed)
         g = OrientedGrid.from_values(vm)
-        gt = g.transpose()
         values = SourceVertexOracle(vm)
         transposed = TransposedVertexOracle(SourceVertexOracle(vm))
         for i, j in g.shape.vertices():
             _check_answer(values.query((i, j)), *_neighbour_sets(g, (i, j)))
-            _check_answer(transposed.query((j, i)), *_neighbour_sets(gt, (j, i)))
+            _check_answer(transposed.query((j, i)), *_swapped_sets(g, (i, j)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 2**64),

@@ -1,4 +1,4 @@
-"""JSON boundary round trips: grids and transcript JSONL."""
+"""JSON boundary round trips: grid files."""
 
 import json
 
@@ -10,15 +10,10 @@ from usogrid import (
     ValueMatrix,
     gen_one_line,
     gen_separable_ddim,
-    replay_transcript,
-    vertex_oracle,
-    edge_oracle,
 )
 from usogrid.serialize import (
     grid_to_json,
     load_grid,
-    transcript_from_jsonl,
-    transcript_to_jsonl,
     values_to_json,
 )
 
@@ -66,33 +61,3 @@ class TestGridJson:
                     "edges": [{"a": [0, 1], "b": [1, 2], "dir": "ab"}],
                 }
             )
-
-
-class TestTranscriptJsonl:
-    def test_vertex_round_trip_and_replay(self):
-        vm = gen_one_line(3, 3, 1)
-        o = vertex_oracle(vm)
-        o.query((2, 2))
-        o.query((0, 1))
-        text = transcript_to_jsonl(o.transcript)
-        records = transcript_from_jsonl(text)
-        assert records == o.transcript
-        assert replay_transcript(records, vertex_oracle(vm))
-
-    def test_edge_round_trip_and_replay(self):
-        vm = gen_one_line(2, 3, 9)
-        o = edge_oracle(vm)
-        o.query_edge((0, 0), (0, 2))
-        o.query_edge((1, 1), (0, 1))
-        text = transcript_to_jsonl(o.transcript)
-        for line in text.strip().splitlines():
-            obj = json.loads(line)
-            assert obj["q"]["kind"] == "edge"
-            assert obj["a"]["dir"] in ("ab", "ba")
-        records = transcript_from_jsonl(text)
-        assert records == o.transcript
-        assert replay_transcript(records, edge_oracle(vm))
-
-    def test_empty_transcript(self):
-        assert transcript_to_jsonl([]) == ""
-        assert transcript_from_jsonl("") == []

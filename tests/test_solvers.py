@@ -401,6 +401,16 @@ class TestDdimSolve:
             text += [f"{v} {a.lines_in} {a.lines_out}" for _, v, a in o.transcript]
         assert hashlib.sha256("\n".join(text).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("oracle", [
+        lambda: AdversaryVertexOracle((2, 3)),
+        lambda: TransposedVertexOracle(vertex_oracle(gen_one_line(3, 2, 0))),
+    ], ids=["adversary", "transposed"])
+    def test_handle_without_dims_is_a_grid_error(self, oracle):
+        o = oracle()
+        with pytest.raises(GridError, match="do not match"):
+            ddim_solve(o, (2, 3))
+        assert o.counter.vertex_queries == 0
+
     def test_bound_function(self):
         assert ddim_bound((5,)) == 5
         assert ddim_bound((3, 4)) == 6
