@@ -226,7 +226,7 @@ def check_validation_cap(m: int, n: int, max_coords: int = DEFAULT_VALIDATION_CO
     raise CapExceededError(
         f"validation of a {m}x{n} grid enumerates {shown} "
         f"subgrids which exceeds the cap (m + n <= {max_coords}); "
-        "raise max_coords explicitly or fall back to sampled checks"
+        "raise it with --max-coords on the CLI or max_coords in the API"
     )
 
 

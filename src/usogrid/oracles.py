@@ -27,7 +27,7 @@ import numpy as np
 
 from .dgrid import DOrientedGrid, _check_line, _full, _in_masks, _masks_to_vertices
 from .errors import AdversaryError, GridError, SubSolverError
-from .grid import GridShape, OrientedGrid, ValueMatrix, Vertex
+from .grid import GridShape, OrientedGrid, ValueMatrix, Vertex, _bool_mask
 from .kernels import _bit_list
 
 
@@ -259,18 +259,27 @@ def edge_oracle(source: OrientedGrid | ValueMatrix, record: bool = True) -> Edge
     return EdgeOracle(source, record)
 
 
-class TransposedVertexOracle:
-    """Thin coordinate-swapping view; counting stays on the base handle."""
+class _View:
+    """A handle that answers through a base handle and counts on its counter."""
 
     def __init__(self, base):
         self._base = base
-        self.shape = GridShape(base.shape.cols, base.shape.rows)
 
     @property
     def counter(self) -> QueryCounter:
         return self._base.counter
 
+
+class TransposedVertexOracle(_View):
+    """Thin coordinate-swapping view; counting stays on the base handle."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.shape = GridShape(base.shape.cols, base.shape.rows)
+
     def query(self, v: Vertex) -> VertexAnswer:
+        if not self.shape.contains(v):
+            raise GridError(f"vertex {v} out of bounds for {self.shape}")
         ans = self._base.query((v[1], v[0]))
         return VertexAnswer.from_masks(v, ans.lines_in[::-1], ans.lines_out[::-1])
 
@@ -278,86 +287,51 @@ class TransposedVertexOracle:
 class AdversaryVertexOracle(VertexOracle):
     """Adaptive answerer committed to no fixed grid.
 
-    Strategy: a query landing in a fresh row (while at least two rows are
-    still unfrozen) freezes that row — the queried vertex becomes the row's
-    sink and the whole row points out to every row frozen later and to the
-    surviving row.  Queries inside a frozen row are answered from its frozen
-    state.  In the single surviving row, each queried vertex is made larger
-    than all still-unqueried vertices of the row, so only the last one can be
-    the sink.  Any solver is forced to spend rows + cols - 1 vertex queries.
-
-    After the interaction, :meth:`materialize` emits an explicit grid
-    consistent with every answer given.
+    The strategy is an m x n value matrix filled in as queries arrive; -inf
+    lies below every value given so far.  A query in a fresh row, while two
+    or more rows are unfrozen, freezes the row: it gets the value band
+    ``(m - order)·(n+2) + n - col`` (``order`` numbers the frozen rows from
+    1), with +0 at the queried column, the row's sink.  In the survivor (the
+    last unfrozen row) the r-th query (from 0) gets ``n - 1 - r``, above
+    every unqueried vertex, so only the last one is the sink.  An answer
+    compares the value with its column and its row.  Any solver is forced
+    to spend rows + cols - 1 vertex queries; once the sink is resolved,
+    :meth:`materialize` emits the explicit grid of the matrix.
     """
 
     def __init__(self, shape: tuple[int, int], record: bool = True):
         super().__init__(record)
         self.shape = GridShape(*shape)
-        self._frozen: dict[int, tuple[int, int]] = {}  # row -> (freeze order, sink col)
-        self._survivor: int | None = None
-        self._tournament: list[int] = []  # columns queried in the surviving row
+        self._values = np.full(shape, -np.inf)
+        self._rows_frozen = 0
         self.sink: Vertex | None = None
-
-    def _row_value(self, row: int, col: int) -> int:
-        """Value of a frozen-row vertex inside its band (0 = the row sink)."""
-        sink_col = self._frozen[row][1]
-        return 0 if col == sink_col else self.shape.cols - col
-
-    def _frozen_row_answer(self, v: Vertex) -> VertexAnswer:
-        # Column: rows frozen earlier point in, all others point out.  Row:
-        # values n - col, except 0 at the sink column.
-        i, j = v
-        m, n = self.shape.rows, self.shape.cols
-        order, sink_col = self._frozen[i]
-        col_in = sum(1 << ii for ii, (o, _) in self._frozen.items() if o < order)
-        row_out = 0 if j == sink_col else (_full(n) >> (j + 1) << (j + 1)) | 1 << sink_col
-        out = (_full(m) ^ col_in ^ 1 << i, row_out)
-        return VertexAnswer.from_masks(v, _in_masks(v, (m, n), out), out)
 
     def _answer(self, v: Vertex) -> VertexAnswer:
         if not self.shape.contains(v):
             raise GridError(f"vertex {v} out of bounds for {self.shape}")
         i, j = v
         m, n = self.shape.rows, self.shape.cols
-        if i in self._frozen:
-            return self._frozen_row_answer(v)
-        if len(self._frozen) < m - 1:
-            self._frozen[i] = (len(self._frozen) + 1, j)
-            return self._frozen_row_answer(v)
-        # Only one unfrozen row is left: the tournament row.  Its column
-        # points in; earlier tournament columns point in, unqueried ones out.
-        self._survivor = i
-        row_in = sum(1 << c for c in self._tournament)
-        row_out = _full(n) ^ row_in ^ 1 << j
-        if row_out:
-            self._tournament.append(j)
-        else:
-            self.sink = v
-        return VertexAnswer.from_masks(v, (_full(m) ^ 1 << i, row_in), (0, row_out))
+        vals = self._values
+        if vals[i, j] == -np.inf:
+            if self._rows_frozen < m - 1:
+                self._rows_frozen += 1
+                band = (m - self._rows_frozen) * (n + 2)
+                vals[i] = band + n - np.arange(n)
+                vals[i, j] = band
+            else:
+                rank = np.count_nonzero(vals[i] > -np.inf)
+                vals[i, j] = n - 1 - rank
+                if rank == n - 1:
+                    self.sink = v
+        x = vals[i, j]
+        out = (_bool_mask(vals[:, j] < x), _bool_mask(vals[i] < x))
+        return VertexAnswer.from_masks(v, _in_masks(v, (m, n), out), out)
 
     def materialize(self) -> OrientedGrid:
-        """Explicit USO consistent with the full transcript.
-
-        Frozen rows get strictly descending value bands in freeze order;
-        within a band, values descend by column index with the sink column
-        minimal.  The surviving row sits below every band, its values
-        descending in query order so the last-queried vertex is the global
-        minimum.
-        """
+        """Explicit USO consistent with the full transcript."""
         if self.sink is None:
             raise AdversaryError("cannot materialize before the sink is resolved")
-        m, n = self.shape.rows, self.shape.cols
-        band = n + 2
-        vals = np.empty((m, n), dtype=np.float64)
-        for row, (order, _) in self._frozen.items():
-            base = (m - order) * band
-            for j in range(n):
-                vals[row, j] = base + self._row_value(row, j)
-        survivor = self._survivor if self._survivor is not None else 0
-        queried_order = self._tournament + [self.sink[1]]
-        for rank, col in enumerate(queried_order):
-            vals[survivor, col] = n - 1 - rank
-        return OrientedGrid.from_values(ValueMatrix(vals))
+        return OrientedGrid.from_values(ValueMatrix(self._values))
 
 
 @dataclass(frozen=True)
@@ -414,23 +388,19 @@ def _block_mask(mask: int, blocks: tuple[tuple[int, int], ...]) -> int:
                if mask & _full(stop) >> start << start)
 
 
-class _BlockEdgeView:
+class _BlockEdgeView(_View):
     """Edge oracle restricted to one block, in block-local coordinates."""
 
     def __init__(self, base, rows: tuple[int, int], cols: tuple[int, int]):
-        self._base = base
+        super().__init__(base)
         self._r0, r1 = rows
         self._c0, c1 = cols
         self._dims = (r1 - self._r0, c1 - self._c0)
         self.shape = GridShape(*self._dims)
 
-    @property
-    def counter(self) -> QueryCounter:
-        return self._base.counter
-
     def query_edge(self, u: Vertex, w: Vertex) -> Vertex:
         rows, cols = self._dims
-        if not (0 <= u[0] < rows and 0 <= u[1] < cols
+        if not (len(u) == 2 == len(w) and 0 <= u[0] < rows and 0 <= u[1] < cols
                 and 0 <= w[0] < rows and 0 <= w[1] < cols):
             raise GridError(f"edge {u}-{w} out of bounds for block {self.shape}")
         gu = (u[0] + self._r0, u[1] + self._c0)
@@ -518,7 +488,7 @@ class InducedVertexOracle(_BlockGridOracle):
                    _block_mask(row_out, self._parts.col_blocks))
 
 
-class PaddedEdgeOracle:
+class PaddedEdgeOracle(_View):
     """Edge oracle over the square padding of a rectangular base oracle.
 
     Queries between real vertices pass through (and count on) the base
@@ -534,23 +504,21 @@ class PaddedEdgeOracle:
         bm, bn = base.shape.rows, base.shape.cols
         if side < max(bm, bn):
             raise GridError(f"padding side {side} below max({bm}, {bn})")
-        self._base = base
+        super().__init__(base)
         self._m, self._n = bm, bn
         self.shape = GridShape(side, side)
         self._scale = side + 1
-
-    @property
-    def counter(self) -> QueryCounter:
-        return self._base.counter
 
     def _real(self, v: Vertex) -> bool:
         return v[0] < self._m and v[1] < self._n
 
     def query_edge(self, u: Vertex, w: Vertex) -> Vertex:
+        side = self.shape.rows
+        if not (len(u) == 2 == len(w) and 0 <= u[0] < side and 0 <= u[1] < side
+                and 0 <= w[0] < side and 0 <= w[1] < side):
+            raise GridError(f"edge {u}-{w} out of bounds for {self.shape}")
         if u == w or (u[0] != w[0] and u[1] != w[1]):
             raise GridError(f"{u}-{w} is not a grid edge")
-        if not (self.shape.contains(u) and self.shape.contains(w)):
-            raise GridError(f"edge {u}-{w} out of bounds for {self.shape}")
         ru, rw = self._real(u), self._real(w)
         if ru and rw:
             return self._base.query_edge(u, w)
@@ -571,7 +539,7 @@ class PaddedEdgeOracle:
         return self._base.query_line(u, axis, lo, min(hi, real)) if lo < real else 0
 
 
-class _FixedAxesView:
+class _FixedAxesView(_View):
     """(d-k)-dimensional vertex-oracle view with the first k axes pinned to
     the coordinates ``prefix``.
 
@@ -580,13 +548,9 @@ class _FixedAxesView:
     """
 
     def __init__(self, base, prefix: tuple):
-        self._base = base
+        super().__init__(base)
         self._prefix = prefix
         self.dims = base.dims[len(prefix):]
-
-    @property
-    def counter(self) -> QueryCounter:
-        return self._base.counter
 
     def lift(self, sub: tuple) -> tuple:
         return self._prefix + sub

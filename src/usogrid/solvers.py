@@ -23,6 +23,7 @@ from typing import Callable
 
 from .errors import GridError, NotUsoError
 from .grid import GridShape, Vertex
+from .kernels import PLANAR_AXES, edge_list
 from .oracles import (
     InducedVertexOracle,
     InheritedVertexOracle,
@@ -257,18 +258,9 @@ DEFAULT_SCHEDULE = KSchedule()
 def _sink_by_all_edges(edge_o, n: int) -> Vertex:
     """Base case: query every edge of the n x n grid and scan out-degrees."""
     outdeg = [0] * (n * n)
-    for i in range(n):
-        for j1 in range(n - 1):
-            for j2 in range(j1 + 1, n):
-                head = edge_o.query_edge((i, j1), (i, j2))
-                tail_j = j2 if head == (i, j1) else j1
-                outdeg[i * n + tail_j] += 1
-    for j in range(n):
-        for i1 in range(n - 1):
-            for i2 in range(i1 + 1, n):
-                head = edge_o.query_edge((i1, j), (i2, j))
-                tail_i = i2 if head == (i1, j) else i1
-                outdeg[tail_i * n + j] += 1
+    for u, w in edge_list((n, n), PLANAR_AXES):
+        tail = w if edge_o.query_edge(u, w) == u else u
+        outdeg[tail[0] * n + tail[1]] += 1
     sinks = [v for v, d in enumerate(outdeg) if d == 0]
     if len(sinks) != 1:
         raise NotUsoError(f"edge scan found {len(sinks)} sinks: not a USO")

@@ -151,8 +151,8 @@ ERROR_PATHS = {
                       "cap of 2^20\n"),
     "validate-cap": (["validate", "{values}"], 3,
                      "error: validation of a 8x8 grid enumerates 65025 subgrids which "
-                     "exceeds the cap (m + n <= 14); raise max_coords explicitly or fall "
-                     "back to sampled checks\n"),
+                     "exceeds the cap (m + n <= 14); raise it with --max-coords on the "
+                     "CLI or max_coords in the API\n"),
     "validate-cap-raised": (["validate", "{values}", "--max-coords", "16"], 0, ""),
     "validate-ddim-cap": (["validate", "{dims}", "--max-subgrids", "10"], 3,
                           "error: validating dims (3, 3, 3, 3) means 2401 subgrids, above "

@@ -1,6 +1,7 @@
 """Oracle handles: counting, caching, adversary, induced/inherited/pad adapters."""
 
 import functools
+import hashlib
 import itertools
 import random
 
@@ -38,7 +39,7 @@ from usogrid.oracles import (
     _BlockEdgeView,
     _FixedAxesView,
 )
-from usogrid.solvers import dc_edge_solve, rectangular_solve, walk_solve
+from usogrid.solvers import dc_edge_solve, diagonal_solve, rectangular_solve, walk_solve
 
 
 def grid_1234():
@@ -159,8 +160,12 @@ class TestVertexArity:
         lambda: AdversaryVertexOracle((3, 3)).query((0,)),
         lambda: TestVertexArity._induced().query((0, 0, 1)),
         lambda: TestVertexArity._induced().query((0,)),
+        lambda: TransposedVertexOracle(vertex_oracle(gen_one_line(3, 4, 1))).query((0, 1, 9)),
+        lambda: TransposedVertexOracle(vertex_oracle(gen_one_line(3, 4, 1))).query((0,)),
+        lambda: _BlockEdgeView(edge_oracle(gen_one_line(4, 4, 2)), (0, 2), (0, 2)).query_edge(
+            (0, 0, 7), (0, 1)),
     ], ids=["padded-line", "padded-edge", "adversary-3", "adversary-1", "induced-3",
-            "induced-1"])
+            "induced-1", "transposed-3", "transposed-1", "block-edge-3"])
     def test_wrong_arity_is_a_grid_error(self, query):
         with pytest.raises(GridError, match="out of bounds"):
             query()
@@ -219,6 +224,30 @@ class TestAdversary:
         grid = adv.materialize()
         assert validate_uso(grid) is None
         assert replay_transcript(adv.transcript, vertex_oracle(grid))
+
+    def test_interactions_frozen(self):
+        # sha256 of the transcripts, counters, sinks and materialized line
+        # masks of rect, diagonal (square shapes) and walk games and of one
+        # seeded random full query order, frozen before the adversary kept
+        # its strategy as a value matrix.
+        def game(shape, play):
+            adv = AdversaryVertexOracle(shape)
+            play(adv)
+            return ([f"{shape} {adv.sink} {adv.counter.as_dict()}"]
+                    + [f"{v} {a.lines_in} {a.lines_out}" for _, v, a in adv.transcript]
+                    + [str(adv.materialize().lines)])
+
+        text = []
+        for shape in [(1, 1), (1, 5), (5, 1), (3, 4), (4, 3), (6, 6), (7, 9)]:
+            text += game(shape, lambda adv: rectangular_solve(adv, *shape))
+            if shape[0] == shape[1]:
+                text += game(shape, lambda adv: diagonal_solve(adv, shape[0]))
+            text += game(shape, walk_solve)
+        order = [(i, j) for i in range(5) for j in range(5)]
+        random.Random(15).shuffle(order)
+        text += game((5, 5), lambda adv: [adv.query(v) for v in order])
+        assert hashlib.sha256("\n".join(text).encode()).hexdigest() == (
+            "829269c193340976994539c82d9b283483e05cba9e1e11e556d5d8642f1aea0e")
 
 
 def _edge_count(m, n):
