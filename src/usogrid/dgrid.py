@@ -9,16 +9,16 @@ on axis a (all other coordinates equal).  That is one bit per end of every
 edge, so storage grows with the number of edges.  The 2-D grid of
 :mod:`usogrid.grid` is the d = 2 case.
 
-Oracle sources.  :mod:`usogrid.oracles` reads an orientation through three
+Oracle sources.  :mod:`usogrid.oracles` reads an orientation through two
 private methods that every source defines, a grid here and a value matrix
-(:class:`usogrid.grid.ValueMatrix`) alike: ``_out_lines(v)``, the out line
-masks at v (what a vertex query reveals); ``_out_line(v, axis, lo, hi)``,
-v's out mask along one axis restricted to coordinates [lo, hi) (what a line
-of edge queries reveals); and ``_points_to(tail, head)``, whether that edge
-is directed tail -> head (what an edge query reveals).  All raise
-:class:`GridError` for a vertex out of bounds, of the wrong arity, a pair
-that is not an edge, or a bad axis or range.  A source also carries ``dims``
-and ``shape``, its 2-D :class:`usogrid.grid.GridShape` or None.
+(:class:`usogrid.grid.ValueMatrix`) alike, one per query model:
+``_out_lines(v)``, the out line masks at v (what a vertex query reveals),
+and ``_points_to(tail, head)``, whether that edge is directed tail -> head
+(what an edge query reveals).  Both raise :class:`GridError` for a vertex
+out of bounds, of the wrong arity, or a pair that is not an edge.  A source
+also carries ``dims``.  Everything else is derived from these: a line of
+edge queries is the vertex answer's mask on one axis, cut to the range the
+edge handle has checked with :func:`_check_line`.
 """
 
 from __future__ import annotations
@@ -126,9 +126,6 @@ class DOrientedGrid:
 
     __slots__ = ("dims", "lines")
 
-    #: No 2-D shape: :class:`usogrid.grid.OrientedGrid` sets one per grid.
-    shape = None
-
     def __init__(self, dims: Sequence[int], directed_edges: Iterable[tuple[DVertex, DVertex]]):
         """Build from (tail, head) pairs; every grid edge must appear exactly once."""
         self.dims = _check_dims(dims)
@@ -223,12 +220,6 @@ class DOrientedGrid:
         self._check_vertex(v)
         k = self.index(v)
         return tuple(line[k] for line in self.lines)
-
-    def _out_line(self, v: DVertex, axis: int, lo: int, hi: int) -> int:
-        """The out mask at v along ``axis``, over coordinates [lo, hi)."""
-        self._check_vertex(v)
-        span = _check_line(self.dims, axis, lo, hi)
-        return self.lines[axis][self.index(v)] & span
 
     def out_neighbors(self, v: DVertex) -> frozenset[DVertex]:
         """All w adjacent to v with the edge directed v -> w; empty iff v is a sink."""

@@ -26,7 +26,6 @@ from . import kernels
 from .dgrid import (
     DOrientedGrid,
     _bits,
-    _check_line,
     _check_values,
     _in_masks,
     _strides,
@@ -51,10 +50,6 @@ class GridShape:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise GridError(f"grid shape must be positive, got {self.rows}x{self.cols}")
-
-    @property
-    def vertex_count(self) -> int:
-        return self.rows * self.cols
 
     def contains(self, v: Vertex) -> bool:
         return len(v) == 2 and 0 <= v[0] < self.rows and 0 <= v[1] < self.cols
@@ -94,27 +89,14 @@ class ValueMatrix:
     def shape(self) -> GridShape:
         return GridShape(*self.dims)
 
-    def _contains(self, v: Vertex) -> bool:
-        m, n = self.dims
-        return len(v) == 2 and 0 <= v[0] < m and 0 <= v[1] < n
-
     def _out_lines(self, v: Vertex) -> tuple[int, int]:
         """The out masks along v's column and row: the smaller entries."""
-        if not self._contains(v):
+        m, n = self.dims
+        if not (len(v) == 2 and 0 <= v[0] < m and 0 <= v[1] < n):
             raise GridError(f"vertex {v} out of bounds for {self.shape}")
         i, j = v
         x = self.values[i, j]
         return (_bool_mask(self.values[:, j] < x), _bool_mask(self.values[i] < x))
-
-    def _out_line(self, v: Vertex, axis: int, lo: int, hi: int) -> int:
-        """The out mask at v along ``axis`` over coordinates [lo, hi): one
-        comparison of the slice against v's entry."""
-        if not self._contains(v):
-            raise GridError(f"vertex {v} out of bounds for {self.shape}")
-        _check_line(self.dims, axis, lo, hi)
-        i, j = v
-        line = self.values[lo:hi, j] if axis == 0 else self.values[i, lo:hi]
-        return _bool_mask(line < self.values[i, j]) << lo
 
     def _points_to(self, tail: Vertex, head: Vertex) -> bool:
         """Whether the edge tail-head is directed tail -> head: tail is larger."""
@@ -151,18 +133,15 @@ class OrientedGrid(DOrientedGrid):
     Immutable after construction; safe to share across threads.
     """
 
-    __slots__ = ("shape",)
+    __slots__ = ()
 
     def __init__(self, shape: GridShape, directed_edges: Iterable[tuple[Vertex, Vertex]]):
         """Build from (tail, head) pairs; every grid edge must appear exactly once."""
-        self.shape = shape
         super().__init__((shape.rows, shape.cols), directed_edges)
 
-    @classmethod
-    def _from_lines(cls, dims: tuple[int, ...], lines: Sequence[Sequence[int]]):
-        grid = super()._from_lines(dims, lines)
-        grid.shape = GridShape(*dims)
-        return grid
+    @property
+    def shape(self) -> GridShape:
+        return GridShape(*self.dims)
 
     @classmethod
     def from_values(cls, vm: ValueMatrix) -> "OrientedGrid":
@@ -184,14 +163,14 @@ class OrientedGrid(DOrientedGrid):
         csel = sorted(set(cols))
         if not rsel or not csel:
             raise GridError("restriction needs nonempty row and column sets")
+        m, n = self.dims
         for i in rsel:
-            if not 0 <= i < self.shape.rows:
+            if not 0 <= i < m:
                 raise GridError(f"row {i} out of bounds")
         for j in csel:
-            if not 0 <= j < self.shape.cols:
+            if not 0 <= j < n:
                 raise GridError(f"column {j} out of bounds")
         col_lines, row_lines = self.lines
-        n = self.shape.cols
         return OrientedGrid._from_lines((len(rsel), len(csel)), (
             [_select_bits(col_lines[i * n + j], rsel) for i in rsel for j in csel],
             [_select_bits(row_lines[i * n + j], csel) for i in rsel for j in csel]))
@@ -230,16 +209,23 @@ def check_validation_cap(m: int, n: int, max_coords: int = DEFAULT_VALIDATION_CO
     )
 
 
+def _two_axes(grid: DOrientedGrid) -> tuple[int, int]:
+    """The sizes (m, n) of a grid with two axes; GridError for any other count."""
+    if len(grid.dims) != 2:
+        raise GridError(f"needs a grid with two axes, dims are {grid.dims}")
+    return grid.dims
+
+
 def validate_uso(
-    grid: OrientedGrid, max_coords: int = DEFAULT_VALIDATION_COORDS
+    grid: DOrientedGrid, max_coords: int = DEFAULT_VALIDATION_COORDS
 ) -> UsoViolation | None:
-    """Check that every nonempty subgrid has exactly one sink.
+    """Check that every nonempty subgrid of a two-axis grid has exactly one sink.
 
     Enumerates all (2^m - 1)(2^n - 1) subgrids, so the shape is capped:
     m + n must not exceed ``max_coords``.  Exceeding the cap raises; partial
     validation is never done silently.
     """
-    m, n = grid.shape.rows, grid.shape.cols
+    m, n = _two_axes(grid)
     check_validation_cap(m, n, max_coords)
     hit = kernels.find_violation(m, n, grid.lines)
     if hit is None:
@@ -307,18 +293,19 @@ def find_cycle(grid: DOrientedGrid) -> list[tuple[int, ...]] | None:
     return [grid.vertex(v) for v in path[pos[k] :]]
 
 
-def topological_values(grid: OrientedGrid) -> ValueMatrix:
-    """Distinct values realizing the orientation: every edge points from the
-    larger value to the smaller one (re-orienting the result reproduces the
-    grid exactly).
+def topological_values(grid: DOrientedGrid) -> ValueMatrix:
+    """Distinct values realizing the orientation of a two-axis grid: every
+    edge points from the larger value to the smaller one (re-orienting the
+    result reproduces the grid's lines exactly).
 
     Raises :class:`CyclicOrientationError` carrying a witness cycle when the
     orientation is not acyclic.
     """
+    dims = _two_axes(grid)
     order, _ = _peel(grid)
     if len(order) != grid.vertex_count:
         raise CyclicOrientationError(find_cycle(grid))
     # Rank 0 is the first sink peeled.
     values = np.empty(grid.vertex_count, dtype=np.float64)
     values[order] = np.arange(len(order))
-    return ValueMatrix(values.reshape(grid.shape.rows, grid.shape.cols))
+    return ValueMatrix(values.reshape(dims))

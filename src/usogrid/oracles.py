@@ -10,7 +10,7 @@ immutable grids may run in parallel.
 
 Sources answer for themselves: an explicit grid of any dimension and a value
 matrix both define the source protocol of :mod:`usogrid.dgrid`
-(``_out_lines``, ``_points_to``, ``dims``, ``shape``).  Over a source,
+(``_out_lines``, ``_points_to``, ``dims``).  Over a source,
 :func:`vertex_oracle` builds the one source vertex handle and
 :func:`edge_oracle` an :class:`EdgeOracle`; each adds only caching, counting
 and the transcript.  The other handles answer from other handles: the
@@ -197,7 +197,8 @@ class EdgeOracle:
     ``query_edge(u, w)`` returns the head vertex.  ``query_line(u, axis, lo,
     hi)`` asks every edge from u to the vertices of its line along ``axis``
     with coordinates in [lo, hi) at once and returns u's out mask over that
-    range, with the bit convention of ``VertexAnswer.lines_out``.
+    range, with the bit convention of ``VertexAnswer.lines_out``: the
+    source's out mask at u on that axis, cut to the range.
 
     Each vertex keeps one known mask per axis; an edge answered for the first
     time sets its bit on both endpoints.  So an edge is counted, and enters
@@ -209,10 +210,10 @@ class EdgeOracle:
         self.counter = QueryCounter()
         self.transcript: list[TranscriptRecord] | None = [] if record else None
         self.source = source
-        self.shape = source.shape
+        self.shape = GridShape(*source.dims)
         # _known[axis][k]: bit c set iff the edge from vertex k (row-major) to
         # the vertex with coordinate c on its line along axis is known.
-        self._known = tuple([0] * source.shape.vertex_count for _ in range(2))
+        self._known = tuple([0] * (self.shape.rows * self.shape.cols) for _ in range(2))
 
     def query_edge(self, u: Vertex, w: Vertex) -> Vertex:
         head = w if self.source._points_to(u, w) else u
@@ -229,12 +230,13 @@ class EdgeOracle:
         return head
 
     def query_line(self, u: Vertex, axis: int, lo: int, hi: int) -> int:
-        out = self.source._out_line(u, axis, lo, hi)
+        span = _check_line(self.source.dims, axis, lo, hi)
+        out = self.source._out_lines(u)[axis] & span
         n = self.shape.cols
         known = self._known[axis]
         ku = u[0] * n + u[1]
         c = u[axis]
-        new = _full(hi) >> lo << lo & ~known[ku] & ~(1 << c)
+        new = span & ~known[ku] & ~(1 << c)
         if not new:
             return out
         # Mark u known at the other end of every edge in the range: at the

@@ -138,10 +138,7 @@ def _square_phase(oracle, state: EliminationState) -> Vertex:
     # Invariant: active subgrid square, every active line covered by exactly
     # one queried vertex.
     while state.sink is None:
-        pair = eliminated_lines(state)
-        if pair is None:
-            break
-        r, c = pair
+        r, c = eliminated_lines(state)
         q_row = state.row_cover[r]
         q_col = state.col_cover[c]
         state.deactivate(row=r, col=c)
@@ -149,7 +146,6 @@ def _square_phase(oracle, state: EliminationState) -> Vertex:
             # Both lines lose their covering vertex; one query restores the
             # one-per-line invariant.
             note_query(state, oracle.query((q_col[0], q_row[1])))
-    assert state.sink is not None
     return state.sink
 
 

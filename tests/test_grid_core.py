@@ -1,6 +1,7 @@
 """Grid representations, the exhaustive validator, and ground-truth ops."""
 
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from usogrid import (
     enumerate_usos,
     find_cycle,
     gen_one_line,
+    gen_separable_ddim,
     topological_values,
     validate_uso,
 )
@@ -296,6 +298,35 @@ class TestOneCore:
             rows = frozenset((i, v[1]) for i in range(3) if g.lines[0][k] >> i & 1)
             cols = frozenset((v[0], j) for j in range(3) if g.lines[1][k] >> j & 1)
             assert rows | cols == g.out_neighbors(v)
+
+    def test_two_axis_functions_take_any_two_axis_grid(self):
+        # A "dims" grid gets the verdict and witness of the d-axis validator,
+        # and values that re-orient to its own lines.
+        rng = random.Random(3)
+        grids = [gen_separable_ddim((2, 3), 0),
+                 DOrientedGrid.from_values(gen_one_line(3, 4, 2).values)]
+        grids += [DOrientedGrid.from_edge_word((3, 3), rng.getrandbits(kernels.edge_count(3, 3)))
+                  for _ in range(20)]
+        for d in grids:
+            violation, expected = validate_uso(d), validate_uso_ddim(d)
+            if expected is None:
+                assert violation is None
+            else:
+                assert (violation.rows, violation.cols) == expected.subsets
+                assert violation.sink_count == expected.sink_count
+            if find_cycle(d) is None:
+                assert OrientedGrid.from_values(topological_values(d)).lines == d.lines
+            else:
+                with pytest.raises(CyclicOrientationError):
+                    topological_values(d)
+
+    @pytest.mark.parametrize("dims", [(4,), (2, 2, 2)])
+    def test_two_axis_functions_refuse_other_axis_counts(self, dims):
+        d = gen_separable_ddim(dims, 1)
+        with pytest.raises(GridError, match="two axes"):
+            validate_uso(d)
+        with pytest.raises(GridError, match="two axes"):
+            topological_values(d)
 
 
 class TestMemory:

@@ -863,6 +863,47 @@ class TestSourceProtocol:
                 assert ov.query(v) == og.query(v)
             assert ov.transcript == og.transcript
 
+    def test_answers_frozen(self):
+        # sha256 of every vertex answer's masks, and of a seeded mix of edge
+        # and line queries (empty, one-wide, partial and full ranges) with
+        # their masks, transcript and counter, over one-line value matrices
+        # and their explicit grids; frozen while each source still answered
+        # line queries itself.
+        rng = random.Random(16)
+        text = []
+        for m, n in [(1, 1), (1, 5), (5, 1), (4, 3), (7, 9), (16, 16)]:
+            vm = gen_one_line(m, n, m + 3 * n)
+            for source in (vm, OrientedGrid.from_values(vm)):
+                ov = vertex_oracle(source, record=False)
+                for v in itertools.product(range(m), range(n)):
+                    answer = ov.query(v)
+                    text.append(f"{v} {answer.lines_in} {answer.lines_out}")
+                oe = edge_oracle(source)
+                for _ in range(3 * m * n):
+                    u = (rng.randrange(m), rng.randrange(n))
+                    axis = rng.randrange(2)
+                    size = (m, n)[axis]
+                    kind = rng.randrange(5)
+                    if kind == 0:
+                        c = rng.randrange(size)
+                        w = (c, u[1]) if axis == 0 else (u[0], c)
+                        if w != u:
+                            text.append(f"{u} {w} {oe.query_edge(u, w)}")
+                        continue
+                    if kind == 1:
+                        lo = hi = rng.randrange(size + 1)
+                    elif kind == 2:
+                        lo = rng.randrange(size)
+                        hi = lo + 1
+                    elif kind == 3:
+                        lo, hi = sorted(rng.sample(range(size + 1), 2))
+                    else:
+                        lo, hi = 0, size
+                    text.append(f"{u} {axis} {lo} {hi} {oe.query_line(u, axis, lo, hi)}")
+                text += [str(oe.transcript), str(oe.counter.as_dict())]
+        assert hashlib.sha256("\n".join(text).encode()).hexdigest() == (
+            "8d8377a77fedf548cb40dad8bded9d41dbb7db1d4ffb1556c2ff96365c218d9f")
+
     def test_bad_queries_raise_grid_error(self):
         vm = gen_one_line(3, 4, 2)
         sources = [vm, OrientedGrid.from_values(vm), DOrientedGrid.from_values(vm.values),
