@@ -14,9 +14,10 @@ import sys
 import time
 
 from . import gen, serialize
-from .dgrid import DEFAULT_SUBGRID_CAP, validate_uso_ddim
+from .dgrid import DEFAULT_SUBGRID_CAP, DOrientedGrid, validate_uso_ddim
 from .errors import CapExceededError, NotUsoError
-from .grid import DEFAULT_VALIDATION_COORDS, OrientedGrid, check_validation_cap, validate_uso
+from .grid import (DEFAULT_VALIDATION_COORDS, OrientedGrid, ValueMatrix, brute_force_sink,
+                   validate_uso)
 from .oracles import AdversaryVertexOracle, edge_oracle, replay_transcript, vertex_oracle
 from .report import CSV_HEADER, RunReport
 from .solvers import ALGORITHMS
@@ -29,8 +30,7 @@ EXIT_BOUND = 4
 EXIT_SINK = 5
 EXIT_ADVERSARY = 6
 
-_VERDICT_EXIT = {"ok": EXIT_OK, "unverified": EXIT_OK, "bound-exceeded": EXIT_BOUND,
-                 "sink-mismatch": EXIT_SINK}
+_VERDICT_EXIT = {"ok": EXIT_OK, "bound-exceeded": EXIT_BOUND, "sink-mismatch": EXIT_SINK}
 
 
 def _parse_shape(text: str, parser: argparse.ArgumentParser, want_dims: int | None = 2):
@@ -57,21 +57,21 @@ def _emit(doc: dict, out_path: str | None) -> None:
     _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
 
 
-def _generate(args, parser) -> serialize.GridDoc:
+def _generate(args, parser) -> ValueMatrix | DOrientedGrid:
     """The ``--model`` oneline or separable instance of ``--shape`` and ``--seed``."""
     dims = _parse_shape(args.shape, parser, want_dims=2 if args.model == "oneline" else None)
     if args.seed < 0:
         parser.error(f"--seed must be non-negative for --model {args.model}, got {args.seed}")
     if args.model == "oneline":
-        return serialize.GridDoc(gen.gen_one_line(*dims, args.seed))
-    return serialize.GridDoc(gen.gen_separable_ddim(dims, args.seed))
+        return gen.gen_one_line(*dims, args.seed)
+    return gen.gen_separable_ddim(dims, args.seed)
 
 
 def _cmd_gen(args, parser) -> int:
     if args.model == "oneline":
-        doc = serialize.values_to_json(_generate(args, parser).values)
+        doc = serialize.values_to_json(_generate(args, parser))
     elif args.model == "separable":
-        doc = serialize.grid_to_json(_generate(args, parser).grid)
+        doc = serialize.grid_to_json(_generate(args, parser))
     else:  # enumerate-index: the seed doubles as the index
         m, n = _parse_shape(args.shape, parser)
         words = gen.uso_words((m, n))
@@ -84,7 +84,7 @@ def _cmd_gen(args, parser) -> int:
     return EXIT_OK
 
 
-def _load_file(path: str, parser) -> serialize.GridDoc:
+def _load_file(path: str, parser) -> ValueMatrix | DOrientedGrid:
     try:
         return serialize.load_grid_file(path)
     except (OSError, ValueError) as exc:  # GridError and JSON/UTF-8 decoding
@@ -92,16 +92,18 @@ def _load_file(path: str, parser) -> serialize.GridDoc:
 
 
 def _cmd_validate(args, parser) -> int:
-    doc = _load_file(args.grid, parser)
-    if doc.is_ddim:
-        violation = validate_uso_ddim(doc.grid, max_subgrids=args.max_subgrids)
+    source = _load_file(args.grid, parser)
+    # The file format picks the validator: a "dims" file of any axis count
+    # is capped by its subgrid count, not by m + n.
+    dims_file = type(source) is DOrientedGrid
+    if dims_file:
+        violation = validate_uso_ddim(source, max_subgrids=args.max_subgrids)
     else:
-        check_validation_cap(*doc.dims, args.max_coords)  # before building the grid
-        violation = validate_uso(doc.grid, max_coords=args.max_coords)
+        violation = validate_uso(source, max_coords=args.max_coords)
     if violation is None:
         print("ok")
         return EXIT_OK
-    if doc.is_ddim:
+    if dims_file:
         detail = {
             "subsets": [sorted(c + 1 for c in s) for s in violation.subsets],
             "sinks": violation.sink_count,
@@ -127,7 +129,7 @@ def _cmd_enumerate(args, parser) -> int:
     return EXIT_OK
 
 
-def _load_instance(args, parser) -> serialize.GridDoc:
+def _load_instance(args, parser) -> ValueMatrix | DOrientedGrid:
     if args.grid:
         return _load_file(args.grid, parser)
     if not args.model or not args.shape:
@@ -135,27 +137,30 @@ def _load_instance(args, parser) -> serialize.GridDoc:
     return _generate(args, parser)
 
 
-def _solve_once(alg: str, doc: serialize.GridDoc, seed: int, parser) -> RunReport:
+def _solve_once(alg: str, source: ValueMatrix | DOrientedGrid, seed: int,
+                parser) -> RunReport:
+    """Solve with ``alg``; ddim runs on any axis count, every other algorithm
+    on two axes."""
     start = time.perf_counter()
-    if alg == "ddim" and not doc.is_ddim:
-        parser.error("--alg ddim needs a d-dimensional grid (dims format)")
-    if alg != "ddim" and doc.is_ddim:
+    dims = source.dims
+    if alg != "ddim" and len(dims) != 2:
         parser.error(f"--alg {alg} needs a 2-dimensional grid")
-    dims = doc.dims
     if alg == "diagonal" and dims[0] != dims[1]:
         parser.error("--alg diagonal needs a square grid")
     entry = ALGORITHMS[alg]
     make_oracle = edge_oracle if entry.kind == "edge" else vertex_oracle
-    sink, counter = entry.solve(make_oracle(doc.source, record=False), dims, seed)
+    sink, counter = entry.solve(make_oracle(source, record=False), dims, seed)
+    expected = (source.argmin_vertex() if isinstance(source, ValueMatrix)
+                else brute_force_sink(source))
     return RunReport.build(
-        alg, dims, seed, counter, entry.bound(dims), sink, expected_sink=doc.sink(),
+        alg, dims, seed, counter, entry.bound(dims), sink, expected_sink=expected,
         wall_time=time.perf_counter() - start,
     )
 
 
 def _cmd_solve(args, parser) -> int:
-    doc = _load_instance(args, parser)
-    report = _solve_once(args.alg, doc, args.seed, parser)
+    source = _load_instance(args, parser)
+    report = _solve_once(args.alg, source, args.seed, parser)
     _emit(report.to_json_dict(), args.report)
     return _VERDICT_EXIT[report.verdict]
 
@@ -201,8 +206,8 @@ def _cmd_bench(args, parser) -> int:
     reports = []
     for size in sizes:
         for seed in range(args.trials):
-            doc = serialize.GridDoc(gen.gen_one_line(size, size, seed))
-            reports.append(_solve_once(args.alg, doc, seed, parser))
+            reports.append(_solve_once(args.alg, gen.gen_one_line(size, size, seed), seed,
+                                       parser))
     reports.sort(key=lambda r: (r.algorithm, r.shape, r.seed))
     _write(CSV_HEADER + "\n" + "".join(r.csv_row() + "\n" for r in reports), args.csv)
     if any(r.verdict == "sink-mismatch" for r in reports):
@@ -254,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="output path (default stdout)")
 
     p = sub.add_parser("bench", help="CSV of query counts over sizes and seeds")
-    p.add_argument("--alg", choices=sorted(a for a in ALGORITHMS if a != "ddim"),
-                   required=True)
+    p.add_argument("--alg", choices=sorted(ALGORITHMS), required=True)
     p.add_argument("--sizes", required=True, help="comma-separated square sizes")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--csv", help="output path (default stdout)")

@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels
 from .dgrid import DOrientedGrid
 from .errors import CapExceededError, GridError, NotUsoError
-from .grid import OrientedGrid, ValueMatrix, check_validation_cap, validate_uso
+from .grid import OrientedGrid, ValueMatrix, validate_uso
 
 DEFAULT_ENUMERATION_EDGES = 20
 
@@ -115,8 +115,7 @@ def pad_values_to_square(vm: ValueMatrix) -> ValueMatrix:
     original edge direction are preserved.
     """
     m, n = vm.values.shape
-    check_validation_cap(m, n)  # before building the grid
-    violation = validate_uso(OrientedGrid.from_values(vm))
+    violation = validate_uso(vm)
     if violation is not None:
         raise NotUsoError(f"input does not induce a USO: {violation}")
     if m == n:

@@ -196,20 +196,7 @@ class UsoViolation:
         )
 
 
-def check_validation_cap(m: int, n: int, max_coords: int = DEFAULT_VALIDATION_COORDS) -> None:
-    """Raise :class:`CapExceededError` when validating an m x n grid would
-    enumerate more subgrids than the cap m + n <= ``max_coords`` allows."""
-    if m + n <= max_coords:
-        return
-    shown = (2**m - 1) * (2**n - 1) if m + n <= 40 else f"(2^{m} - 1)(2^{n} - 1)"
-    raise CapExceededError(
-        f"validation of a {m}x{n} grid enumerates {shown} "
-        f"subgrids which exceeds the cap (m + n <= {max_coords}); "
-        "raise it with --max-coords on the CLI or max_coords in the API"
-    )
-
-
-def _two_axes(grid: DOrientedGrid) -> tuple[int, int]:
+def _two_axes(grid: DOrientedGrid | ValueMatrix) -> tuple[int, int]:
     """The sizes (m, n) of a grid with two axes; GridError for any other count."""
     if len(grid.dims) != 2:
         raise GridError(f"needs a grid with two axes, dims are {grid.dims}")
@@ -217,17 +204,26 @@ def _two_axes(grid: DOrientedGrid) -> tuple[int, int]:
 
 
 def validate_uso(
-    grid: DOrientedGrid, max_coords: int = DEFAULT_VALIDATION_COORDS
+    source: DOrientedGrid | ValueMatrix, max_coords: int = DEFAULT_VALIDATION_COORDS
 ) -> UsoViolation | None:
-    """Check that every nonempty subgrid of a two-axis grid has exactly one sink.
+    """Check that every nonempty subgrid of a two-axis grid, or of the
+    orientation a value matrix induces, has exactly one sink.
 
     Enumerates all (2^m - 1)(2^n - 1) subgrids, so the shape is capped:
-    m + n must not exceed ``max_coords``.  Exceeding the cap raises; partial
-    validation is never done silently.
+    m + n must not exceed ``max_coords``.  The cap is checked before a value
+    matrix is oriented; exceeding it raises, and partial validation is never
+    done silently.
     """
-    m, n = _two_axes(grid)
-    check_validation_cap(m, n, max_coords)
-    hit = kernels.find_violation(m, n, grid.lines)
+    m, n = _two_axes(source)
+    if m + n > max_coords:
+        shown = (2**m - 1) * (2**n - 1) if m + n <= 40 else f"(2^{m} - 1)(2^{n} - 1)"
+        raise CapExceededError(
+            f"validation of a {m}x{n} grid enumerates {shown} "
+            f"subgrids which exceeds the cap (m + n <= {max_coords}); "
+            "raise it with --max-coords on the CLI or max_coords in the API"
+        )
+    lines = _value_lines(source.values) if isinstance(source, ValueMatrix) else source.lines
+    hit = kernels.find_violation(m, n, lines)
     if hit is None:
         return None
     rmask, cmask, sinks = hit

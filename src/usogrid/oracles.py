@@ -191,8 +191,8 @@ def vertex_oracle(
 
 
 class EdgeOracle:
-    """Edge-query handle over a 2-D source (a value matrix or an explicit
-    grid).
+    """Edge-query handle over a two-axis source (a value matrix or an
+    explicit grid with two axes).
 
     ``query_edge(u, w)`` returns the head vertex.  ``query_line(u, axis, lo,
     hi)`` asks every edge from u to the vertices of its line along ``axis``
@@ -206,7 +206,7 @@ class EdgeOracle:
     records its new edges in ascending coordinate order.
     """
 
-    def __init__(self, source: ValueMatrix | OrientedGrid, record: bool = True):
+    def __init__(self, source: ValueMatrix | DOrientedGrid, record: bool = True):
         self.counter = QueryCounter()
         self.transcript: list[TranscriptRecord] | None = [] if record else None
         self.source = source
@@ -255,9 +255,11 @@ class EdgeOracle:
         return out
 
 
-def edge_oracle(source: OrientedGrid | ValueMatrix, record: bool = True) -> EdgeOracle:
-    if not isinstance(source, (ValueMatrix, OrientedGrid)):
+def edge_oracle(source: DOrientedGrid | ValueMatrix, record: bool = True) -> EdgeOracle:
+    if not isinstance(source, (ValueMatrix, DOrientedGrid)):
         raise TypeError(f"cannot build an edge oracle from {type(source).__name__}")
+    if len(source.dims) != 2:
+        raise GridError(f"an edge oracle needs a grid with two axes, dims are {source.dims}")
     return EdgeOracle(source, record)
 
 

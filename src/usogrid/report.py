@@ -19,7 +19,7 @@ class RunReport:
 
     ``sink`` is 1-based, matching the serialization boundary.  ``bound_ok``
     is queries-of-the-algorithm's-kind <= bound.  ``verdict`` is one of
-    ok / sink-mismatch / bound-exceeded / unverified.
+    ok / sink-mismatch / bound-exceeded.
     """
 
     algorithm: str
@@ -41,14 +41,12 @@ class RunReport:
         counter: QueryCounter,
         bound: int,
         sink,
-        expected_sink=None,
+        expected_sink,
         wall_time: float = 0.0,
     ) -> "RunReport":
         queries = counter.as_dict()
         bound_ok = queries[ALG_QUERY_KIND[algorithm]] <= bound
-        if expected_sink is None:
-            verdict = "unverified"
-        elif tuple(sink) != tuple(expected_sink):
+        if tuple(sink) != tuple(expected_sink):
             verdict = "sink-mismatch"
         elif not bound_ok:
             verdict = "bound-exceeded"

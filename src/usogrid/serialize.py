@@ -15,12 +15,11 @@ Oracle transcripts have no file format; they stay in memory for
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import kernels
 from .dgrid import DOrientedGrid
 from .errors import GridError
-from .grid import GridShape, OrientedGrid, ValueMatrix, brute_force_sink
+from .grid import GridShape, OrientedGrid, ValueMatrix
 
 
 def _v_out(v) -> list[int]:
@@ -58,42 +57,6 @@ def grid_to_json(grid: DOrientedGrid) -> dict:
     return {"shape" if planar else "dims": list(grid.dims), "edges": edges}
 
 
-@dataclass(frozen=True)
-class GridDoc:
-    """A loaded or generated instance: a value matrix, or an explicit 2-D or
-    d-dimensional orientation.  Solvers query ``source`` directly; only
-    :attr:`grid` expands a value matrix into an explicit line-mask grid."""
-
-    source: ValueMatrix | OrientedGrid | DOrientedGrid
-
-    @property
-    def is_ddim(self) -> bool:
-        """True for a "dims" grid, of any dimension; an OrientedGrid is 2-D."""
-        return isinstance(self.source, DOrientedGrid) and not isinstance(
-            self.source, OrientedGrid)
-
-    @property
-    def values(self) -> ValueMatrix | None:
-        return self.source if isinstance(self.source, ValueMatrix) else None
-
-    @property
-    def grid(self) -> OrientedGrid | DOrientedGrid:
-        """The explicit orientation, built anew from a value matrix on each access."""
-        if isinstance(self.source, ValueMatrix):
-            return OrientedGrid.from_values(self.source)
-        return self.source
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.source.dims
-
-    def sink(self) -> tuple[int, ...]:
-        """The unique sink by full scan (0-based); no oracle accounting."""
-        if isinstance(self.source, ValueMatrix):
-            return self.source.argmin_vertex()
-        return brute_force_sink(self.source)
-
-
 def _directed_pairs(edge_objs) -> list[tuple[tuple, tuple]]:
     pairs = []
     for obj in edge_objs:
@@ -106,38 +69,36 @@ def _directed_pairs(edge_objs) -> list[tuple[tuple, tuple]]:
     return pairs
 
 
-def load_grid(doc: dict) -> GridDoc:
-    """Parse a grid file's JSON value; anything malformed raises GridError."""
+def load_grid(doc: dict) -> ValueMatrix | OrientedGrid | DOrientedGrid:
+    """Parse a grid file's JSON value into the instance it holds: a value
+    matrix, an explicit 2-D grid or a d-dimensional grid, each an oracle
+    source.  Anything malformed raises GridError."""
     if not isinstance(doc, dict):
         raise GridError("a grid file holds one JSON object")
     try:
-        return GridDoc(_grid_source(doc))
+        if "dims" in doc:
+            if "edges" not in doc or "values" in doc or "shape" in doc:
+                raise GridError('a d-dimensional grid file needs "dims" and "edges" only')
+            return DOrientedGrid(_ints(doc["dims"], '"dims"'), _directed_pairs(doc["edges"]))
+        if "shape" not in doc:
+            raise GridError('grid file needs a "shape" (or "dims") field')
+        m, n = _ints(doc["shape"], '"shape"')
+        has_values = "values" in doc
+        has_edges = "edges" in doc
+        if has_values == has_edges:
+            raise GridError('grid file needs exactly one of "values" and "edges"')
+        if has_values:
+            vm = ValueMatrix(doc["values"])
+            if vm.values.shape != (m, n):
+                raise GridError(f"values are {vm.values.shape}, shape says {(m, n)}")
+            return vm
+        return OrientedGrid(GridShape(m, n), _directed_pairs(doc["edges"]))
     except GridError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise GridError(f"malformed grid file: {exc!r}") from exc
 
 
-def _grid_source(doc: dict) -> ValueMatrix | OrientedGrid | DOrientedGrid:
-    if "dims" in doc:
-        if "edges" not in doc or "values" in doc or "shape" in doc:
-            raise GridError('a d-dimensional grid file needs "dims" and "edges" only')
-        return DOrientedGrid(_ints(doc["dims"], '"dims"'), _directed_pairs(doc["edges"]))
-    if "shape" not in doc:
-        raise GridError('grid file needs a "shape" (or "dims") field')
-    m, n = _ints(doc["shape"], '"shape"')
-    has_values = "values" in doc
-    has_edges = "edges" in doc
-    if has_values == has_edges:
-        raise GridError('grid file needs exactly one of "values" and "edges"')
-    if has_values:
-        vm = ValueMatrix(doc["values"])
-        if vm.values.shape != (m, n):
-            raise GridError(f"values are {vm.values.shape}, shape says {(m, n)}")
-        return vm
-    return OrientedGrid(GridShape(m, n), _directed_pairs(doc["edges"]))
-
-
-def load_grid_file(path) -> GridDoc:
+def load_grid_file(path) -> ValueMatrix | OrientedGrid | DOrientedGrid:
     with open(path, "r", encoding="utf-8") as fh:
         return load_grid(json.load(fh))

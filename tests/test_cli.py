@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, deterministic artifacts."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -30,8 +31,7 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "--model", "oneline", "--shape", "8x8",
                          "--seed", "42", "-o", str(path))
         assert code == 0
-        doc = load_grid_file(path)
-        assert doc.grid.shape.rows == 8
+        assert load_grid_file(path).shape.rows == 8
         # 8 + 8 is over the default validator cap: refuse, then allow explicitly
         code, _, _ = run(capsys, "validate", str(path))
         assert code == 3
@@ -54,7 +54,7 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "--model", "enumerate-index",
                          "--shape", "2x2", "--seed", "5", "-o", str(path))
         assert code == 0
-        assert load_grid_file(path).grid.shape.rows == 2
+        assert load_grid_file(path).shape.rows == 2
         code, _, _ = run(capsys, "gen", "--model", "enumerate-index",
                          "--shape", "2x2", "--seed", "12")
         assert code == 2  # only 12 USOs
@@ -215,9 +215,12 @@ class TestMalformedFiles:
         b'{"shape": [1.9, 2], "values": [[1, 2]]}',
         b'{"dims": [2.7], "edges": [{"a": [1], "b": [2], "dir": "ab"}]}',
         b'{"shape": [1, 2], "edges": [{"a": [1, 1, 1], "b": [1, 2, 1], "dir": "ab"}]}',
+        b'{"shape": [1, 2], "edges": [{"a": [1, 1], "b": [1, 2], "dir": "up"}]}',
+        b'{"dims": [1, 2], "shape": [1, 2], "edges": [{"a": [1, 1], "b": [1, 2], "dir": "ab"}]}',
+        b'{"values": [[1, 2]]}',
     ], ids=["shape-3d", "non-number", "edge-without-b", "not-an-object", "not-utf8",
             "float-coordinate", "bool-and-string-coordinates", "float-shape", "float-dims",
-            "shape-edge-with-3-coordinates"])
+            "shape-edge-with-3-coordinates", "bad-dir", "dims-and-shape", "no-shape"])
     def test_validate_and_solve_exit_2(self, tmp_path, capsys, content):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
@@ -276,15 +279,44 @@ class TestSolve:
         report = json.loads(out)
         assert report["verdict"] == "ok" and report["bound"] == 15
 
-    def test_two_axis_dims_file_needs_ddim(self, tmp_path, capsys):
-        path = tmp_path / "d2.json"
-        grid = DOrientedGrid.from_values(gen_one_line(3, 4, 2).values)
-        path.write_text(json.dumps(grid_to_json(grid)))
-        assert "dims" in json.loads(path.read_text())
+    def test_two_axis_dims_file_solves_like_its_shape_file(self, tmp_path, capsys):
+        for m, n in [(3, 4), (4, 4)]:
+            vm = gen_one_line(m, n, 2)
+            paths = {"dims": tmp_path / "d2.json", "shape": tmp_path / "g.json"}
+            paths["dims"].write_text(json.dumps(grid_to_json(DOrientedGrid.from_values(vm.values))))
+            paths["shape"].write_text(json.dumps(grid_to_json(OrientedGrid.from_values(vm))))
+            assert "dims" in json.loads(paths["dims"].read_text())
+            reports = {}
+            for alg in sorted(ALGORITHMS):
+                if alg == "diagonal" and m != n:
+                    continue
+                pair = []
+                for path in paths.values():
+                    code, out, _ = run(capsys, "solve", "--alg", alg, "--grid", str(path))
+                    assert code == 0
+                    pair.append(json.loads(out))
+                    pair[-1].pop("wall_time")
+                assert pair[0] == pair[1] and pair[0]["verdict"] == "ok"
+                reports[alg] = pair[0]
+            assert reports["ddim"] == dict(reports["rect"], algorithm="ddim")
+        # Three axes are for ddim alone.
+        path = tmp_path / "d3.json"
+        path.write_text(json.dumps(grid_to_json(gen_separable_ddim((2, 3, 2), 1))))
         code, _, err = run(capsys, "solve", "--alg", "rect", "--grid", str(path))
         assert code == 2 and "needs a 2-dimensional grid" in err
-        code, out, _ = run(capsys, "solve", "--alg", "ddim", "--grid", str(path))
-        assert code == 0 and json.loads(out)["verdict"] == "ok"
+
+    def test_ddim_on_values_counts_like_rect(self, tmp_path, capsys):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(values_to_json(gen_one_line(7, 5, 3))))
+        for source in (["--grid", str(path)], ["--model", "oneline", "--shape", "9x6"]):
+            reports = []
+            for alg in ("rect", "ddim"):
+                code, out, _ = run(capsys, "solve", "--alg", alg, *source, "--seed", "3")
+                assert code == 0
+                report = json.loads(out)
+                report.pop("wall_time")
+                reports.append(report)
+            assert reports[1] == dict(reports[0], algorithm="ddim")
 
     def test_diagonal_requires_square(self, capsys):
         code, _, _ = run(capsys, "solve", "--alg", "diagonal", "--model",
@@ -385,6 +417,46 @@ class TestBench:
                            f"{r['queries']['edge']},{r['bound']},"
                            f"{str(r['bound_ok']).lower()}")
 
+    def test_ddim_rows_are_rect_rows(self, capsys):
+        rows = {}
+        for alg in ("rect", "ddim"):
+            code, out, _ = run(capsys, "bench", "--alg", alg, "--sizes", "3,6",
+                               "--trials", "4")
+            assert code == 0
+            rows[alg] = [row.split(",", 1) for row in out.strip().splitlines()[1:]]
+        assert len(rows["rect"]) == 8
+        assert [rest for _, rest in rows["ddim"]] == [rest for _, rest in rows["rect"]]
+        assert {alg for alg, _ in rows["ddim"]} == {"ddim"}
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--sizes", "4,x"], "bad size 'x'"),
+        (["--sizes", "4,0"], "bad size '0'"),
+        (["--sizes", "4", "--trials", "0"], "--trials must be positive"),
+    ], ids=["non-integer-size", "zero-size", "zero-trials"])
+    def test_usage_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, "bench", "--alg", "rect", *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("fault,code,verdict", [
+        ("bound", 4, "bound-exceeded"), ("sink", 5, "sink-mismatch"),
+    ])
+    def test_failed_contract_exit_codes(self, capsys, monkeypatch, fault, code, verdict):
+        entry = ALGORITHMS["walk"]
+        if fault == "bound":
+            faulty = dataclasses.replace(entry, bound=lambda dims: 1)
+        else:
+            def solve_elsewhere(oracle, dims, seed):
+                sink, counter = entry.solve(oracle, dims, seed)
+                return ((sink[0] + 1) % dims[0], sink[1]), counter
+            faulty = dataclasses.replace(entry, solve=solve_elsewhere)
+        monkeypatch.setitem(ALGORITHMS, "walk", faulty)
+        got, out, _ = run(capsys, "bench", "--alg", "walk", "--sizes", "4", "--trials", "2")
+        assert got == code and len(out.splitlines()) == 3
+        got, out, _ = run(capsys, "solve", "--alg", "walk", "--model", "oneline",
+                          "--shape", "4x4")
+        assert got == code and json.loads(out)["verdict"] == verdict
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -462,3 +534,74 @@ class TestGoldenOutputs:
             out = json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert (code, _sha(out)) == GOLDEN_STDOUT[name]
         assert err == ""
+
+
+#: Commands whose instance passes through the file loader and the solver
+#: choice: exit code, sha256 of stdout (solve reports without wall_time) and
+#: the exact stderr.  Frozen while the loader still wrapped every instance
+#: and the solver choice read the file format.
+REROUTED_OUTPUTS = {
+    "validate-values": (0,
+        "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22", ""),
+    "validate-cycle-dims": (1,
+        "e60f19c8d4c4007d4b0669f58de153755fbdb150e4ea2796e2be7954e4b55c9b", ""),
+    "solve-ddim-dims": (0,
+        "c2fb328661d9e5e4b0ea2c95bc8011b0926a1972fe19c20c653a2ac77a541356", ""),
+    "solve-dc-edge-values": (0,
+        "7eee13893ed19eeaeb391edf084341f05ea766c9264b07d605faf33c4e4f873e", ""),
+    "solve-dc-edge-shape": (0,
+        "fe61f9f67d7c740efa8cdbd2bda23fe15debe8da21f8f5d9d2fbb6c0a8c26046", ""),
+    "solve-diagonal-values": (0,
+        "6fceb1ab467a6e82754ced1b38525712a7d0fef1ce05edf25cd75f0446093a48", ""),
+    "solve-diagonal-shape": (0,
+        "ec2b85fe26cab3a98767a85713d7daa7e4ebb64f35ed66986b8851da991f9760", ""),
+    "solve-random-edge-values": (0,
+        "38459d100cde033a5209ae6a97c1934d81c1e9dc6dd28ff3d073d3cd53fcc638", ""),
+    "solve-random-edge-shape": (0,
+        "52943b7eab209137fa5851772ddb037893c622bc58e67784828327a6f6dd2da2", ""),
+    "solve-rect-values": (0,
+        "dc05e8bc388980e9718b3ade3230c809f575993a04fa462162dac74699a5bfcb", ""),
+    "solve-rect-shape": (0,
+        "3f8a0c435b90a75523aa518834174103678a9c187f5cf5720cd54e83ae73b015", ""),
+    "solve-walk-values": (0,
+        "3303b3336d253a317ae97908e9724e5327d0fa838483bbdd78c3d532088f76bc", ""),
+    "solve-walk-shape": (0,
+        "23339cc6aec8083a076c20446c7acc6c62f27df96870c1ac8c004e3e59e57406", ""),
+    "solve-diagonal-thin": (2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "usage: usogrid [-h] {gen,validate,enumerate,solve,adversary,bench} ...\n"
+        "usogrid: error: --alg diagonal needs a square grid\n"),
+}
+
+
+class TestReroutedOutputs:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("rerouted")
+        paths = {name: root / f"{name}.json"
+                 for name in ("values", "shape", "dims", "thin", "cycle-dims")}
+        paths["values"].write_text(json.dumps(values_to_json(gen_one_line(5, 5, 11))))
+        paths["shape"].write_text(json.dumps(grid_to_json(
+            OrientedGrid.from_values(gen_one_line(6, 6, 4)))))
+        paths["dims"].write_text(json.dumps(grid_to_json(gen_separable_ddim((2, 3, 4), 2))))
+        paths["thin"].write_text(json.dumps(values_to_json(gen_one_line(3, 4, 1))))
+        paths["cycle-dims"].write_text(json.dumps({"dims": [2, 2], "edges": [
+            {"a": a, "b": b, "dir": d} for d, a, b in NON_USO_EDGES["four-cycle"]]}))
+        return {name: str(path) for name, path in paths.items()}
+
+    @staticmethod
+    def _argv(name, files):
+        command, rest = name.split("-", 1)
+        if command == "validate":
+            return ["validate", files[rest]]
+        alg, instance = rest.rsplit("-", 1)
+        return ["solve", "--alg", alg, "--grid", files[instance]]
+
+    @pytest.mark.parametrize("name", sorted(REROUTED_OUTPUTS))
+    def test_output_matches_frozen_hash(self, files, capsys, name):
+        code, out, err = run(capsys, *self._argv(name, files))
+        if name.startswith("solve-") and code == 0:
+            report = json.loads(out)
+            report.pop("wall_time")
+            out = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert (code, _sha(out), err) == REROUTED_OUTPUTS[name]

@@ -403,6 +403,18 @@ class TestInducedOracle:
         with pytest.raises(SubSolverError):
             ind.query((0, 0))
 
+    def test_sub_solver_answer_outside_its_block(self):
+        base = edge_oracle(gen_one_line(4, 4, 2))
+        ind = InducedVertexOracle(base, PartitionPair.near_equal(4, 4, 2, 2),
+                                  lambda view: (view.shape.rows, 0))
+        with pytest.raises(SubSolverError, match="outside block"):
+            ind.query((0, 1))
+
+    def test_partition_must_cover_the_base(self):
+        base = edge_oracle(gen_one_line(4, 4, 2))
+        with pytest.raises(GridError, match="partition covers"):
+            InducedVertexOracle(base, PartitionPair.near_equal(3, 4, 2, 2), _brute_sub_solver)
+
 
 class TestPadOracle:
     def test_square_base_passthrough(self):
@@ -438,6 +450,14 @@ class TestPadOracle:
     def test_side_too_small(self):
         with pytest.raises(GridError):
             PaddedEdgeOracle(edge_oracle(gen_one_line(2, 4, 0)), 3)
+
+    def test_non_edges_refused(self):
+        base = edge_oracle(gen_one_line(2, 4, 0))
+        padded = PaddedEdgeOracle(base, 4)
+        for u, w in [((0, 0), (1, 1)), ((1, 2), (1, 2)), ((3, 0), (2, 3))]:
+            with pytest.raises(GridError, match="not a grid edge"):
+                padded.query_edge(u, w)
+        assert base.counter.edge_queries == 0
 
 
 def _line_by_edges(handle, u, axis, lo, hi):
@@ -635,6 +655,18 @@ class TestInheritedOracle:
         answer = inh.query((gsink[0], gsink[1]))
         assert answer.outgoing == frozenset()
         assert inh.block_sink((gsink[0], gsink[1])) == gsink
+
+    def test_sub_solver_non_sink_detected(self):
+        g = gen_separable_ddim((2, 2, 3), 4)
+
+        def beside_the_sink(view):
+            answers = [view.query((c,)) for c in range(3)]
+            sink = next(c for c, answer in enumerate(answers) if answer.is_sink)
+            return ((sink + 1) % 3,)
+
+        inh = InheritedVertexOracle(vertex_oracle(g), beside_the_sink)
+        with pytest.raises(SubSolverError, match="outgoing edge inside block"):
+            inh.query((1, 0))
 
     def test_needs_two_axes(self):
         base = vertex_oracle(gen_separable_ddim((3,), 0))
@@ -852,6 +884,8 @@ class TestSourceProtocol:
     def test_ddim_grids(self):
         for g in _ddim_grids():
             self._check_vertex_answers(g, g)
+            if len(g.dims) == 2:
+                self._check_edge_answers(g, g)
 
     def test_value_matrices_answer_like_their_grid(self):
         for vm in _value_sources():
@@ -929,5 +963,5 @@ class TestSourceProtocol:
                 vertex_oracle(bad)
             with pytest.raises(TypeError):
                 edge_oracle(bad)
-        with pytest.raises(TypeError):
-            edge_oracle(gen_separable_ddim((2, 2), 0))
+        with pytest.raises(GridError, match="two axes"):
+            edge_oracle(gen_separable_ddim((2, 2, 2), 0))
