@@ -16,8 +16,7 @@ import time
 from . import gen, serialize
 from .dgrid import DEFAULT_SUBGRID_CAP, DOrientedGrid, validate_uso_ddim
 from .errors import CapExceededError, NotUsoError
-from .grid import (DEFAULT_VALIDATION_COORDS, OrientedGrid, ValueMatrix, brute_force_sink,
-                   validate_uso)
+from .grid import OrientedGrid, ValueMatrix, brute_force_sink, validate_uso
 from .oracles import AdversaryVertexOracle, edge_oracle, replay_transcript, vertex_oracle
 from .report import CSV_HEADER, RunReport
 from .solvers import ALGORITHMS
@@ -93,27 +92,19 @@ def _load_file(path: str, parser) -> ValueMatrix | DOrientedGrid:
 
 def _cmd_validate(args, parser) -> int:
     source = _load_file(args.grid, parser)
-    # The file format picks the validator: a "dims" file of any axis count
-    # is capped by its subgrid count, not by m + n.
-    dims_file = type(source) is DOrientedGrid
-    if dims_file:
-        violation = validate_uso_ddim(source, max_subgrids=args.max_subgrids)
-    else:
-        violation = validate_uso(source, max_coords=args.max_coords)
+    # The axis count picks the validator and its witness, as in _solve_once.
+    planar = len(source.dims) == 2
+    validate = validate_uso if planar else validate_uso_ddim
+    violation = validate(source, max_subgrids=args.max_subgrids)
     if violation is None:
         print("ok")
         return EXIT_OK
-    if dims_file:
-        detail = {
-            "subsets": [sorted(c + 1 for c in s) for s in violation.subsets],
-            "sinks": violation.sink_count,
-        }
+    if planar:
+        detail = {"rows": sorted(r + 1 for r in violation.rows),
+                  "cols": sorted(c + 1 for c in violation.cols)}
     else:
-        detail = {
-            "rows": sorted(r + 1 for r in violation.rows),
-            "cols": sorted(c + 1 for c in violation.cols),
-            "sinks": violation.sink_count,
-        }
+        detail = {"subsets": [sorted(c + 1 for c in s) for s in violation.subsets]}
+    detail["sinks"] = violation.sink_count
     print(json.dumps({"violation": detail}, sort_keys=True))
     return EXIT_VIOLATION
 
@@ -234,10 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the unique-sink property of a grid file")
     p.add_argument("grid", help="grid JSON path")
-    p.add_argument("--max-coords", type=int, default=DEFAULT_VALIDATION_COORDS,
-                   help=f"validator cap on m + n (default {DEFAULT_VALIDATION_COORDS})")
     p.add_argument("--max-subgrids", type=int, default=DEFAULT_SUBGRID_CAP,
-                   help="d-dimensional validator cap on subgrid count")
+                   help="validator cap on the number of nonempty subgrids "
+                        f"(default {DEFAULT_SUBGRID_CAP})")
 
     p = sub.add_parser("enumerate", help="stream every USO of a small shape")
     p.add_argument("--shape", required=True)

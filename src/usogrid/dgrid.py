@@ -37,6 +37,7 @@ from .kernels import _bit_list
 
 DVertex = tuple[int, ...]
 
+#: Exhaustive validation cap: refuse to scan more nonempty subgrids than this.
 DEFAULT_SUBGRID_CAP = 100_000
 
 #: Booleans one numpy comparison may produce while building lines from values.
@@ -253,6 +254,17 @@ class DOrientedGrid:
         return f"<{type(self).__name__} {'x'.join(map(str, self.dims))}>"
 
 
+def _subgrid_cap_error(dims: tuple[int, ...], max_subgrids: int) -> CapExceededError:
+    """The refusal to scan more than ``max_subgrids`` nonempty subgrids of
+    ``dims``; above 40 coordinates their count is shown as a product."""
+    shown = (math.prod(2**s - 1 for s in dims) if sum(dims) <= 40
+             else "".join(f"(2^{s} - 1)" for s in dims))
+    return CapExceededError(
+        f"validating dims {dims} means {shown} subgrids, above the cap "
+        f"{max_subgrids}; raise max_subgrids explicitly"
+    )
+
+
 @dataclass(frozen=True)
 class DUsoViolation:
     """First subgrid (per-axis subset masks, ascending) without a unique sink."""
@@ -266,16 +278,14 @@ def validate_uso_ddim(
 ) -> DUsoViolation | None:
     """Check the unique-sink property over all products of nonempty subsets.
 
-    Subgrids are scanned in ascending order of their per-axis masks, axis 0
-    outermost; single vertices are skipped.  A vertex is a sink of the
-    subgrid iff on every axis its line mask misses the axis subset.
+    Refuses, before any scan, when the nonempty subgrids number more than
+    ``max_subgrids``.  Subgrids are scanned in ascending order of their
+    per-axis masks, axis 0 outermost; single vertices are skipped.  A
+    vertex is a sink of the subgrid iff on every axis its line mask misses
+    the axis subset.
     """
-    total = math.prod(2**s - 1 for s in grid.dims)
-    if total > max_subgrids:
-        raise CapExceededError(
-            f"validating dims {grid.dims} means {total} subgrids, above the cap "
-            f"{max_subgrids}; raise max_subgrids explicitly"
-        )
+    if math.prod(2**s - 1 for s in grid.dims) > max_subgrids:
+        raise _subgrid_cap_error(grid.dims, max_subgrids)
     axis_subsets = [[(mask, [c * stride for c in _bit_list(mask)]) for mask in range(1, 1 << size)]
                     for size, stride in zip(grid.dims, _strides(grid.dims))]
     for combo in itertools.product(*axis_subsets):

@@ -83,6 +83,8 @@ def uso_words(shape: tuple[int, int]) -> list[int]:
     (m, n) shape, ascending; raises CapExceededError above
     ``DEFAULT_ENUMERATION_EDGES`` edges."""
     m, n = shape
+    if m < 1 or n < 1:
+        raise GridError(f"shape must be positive, got {m}x{n}")
     edges = kernels.edge_count(m, n)
     if edges > DEFAULT_ENUMERATION_EDGES:
         raise CapExceededError(

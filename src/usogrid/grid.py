@@ -24,20 +24,19 @@ import numpy as np
 
 from . import kernels
 from .dgrid import (
+    DEFAULT_SUBGRID_CAP,
     DOrientedGrid,
     _bits,
     _check_values,
     _in_masks,
     _strides,
+    _subgrid_cap_error,
     _value_lines,
 )
-from .errors import CapExceededError, CyclicOrientationError, GridError, NotUsoError
+from .errors import CyclicOrientationError, GridError, NotUsoError
 from .kernels import _bit_list
 
 Vertex = tuple[int, int]
-
-#: Explicit validator cap: refuse to enumerate subgrids when m + n exceeds it.
-DEFAULT_VALIDATION_COORDS = 14
 
 
 @dataclass(frozen=True)
@@ -204,24 +203,18 @@ def _two_axes(grid: DOrientedGrid | ValueMatrix) -> tuple[int, int]:
 
 
 def validate_uso(
-    source: DOrientedGrid | ValueMatrix, max_coords: int = DEFAULT_VALIDATION_COORDS
+    source: DOrientedGrid | ValueMatrix, max_subgrids: int = DEFAULT_SUBGRID_CAP
 ) -> UsoViolation | None:
     """Check that every nonempty subgrid of a two-axis grid, or of the
     orientation a value matrix induces, has exactly one sink.
 
-    Enumerates all (2^m - 1)(2^n - 1) subgrids, so the shape is capped:
-    m + n must not exceed ``max_coords``.  The cap is checked before a value
-    matrix is oriented; exceeding it raises, and partial validation is never
-    done silently.
+    Enumerates all (2^m - 1)(2^n - 1) subgrids, so more than
+    ``max_subgrids`` of them raise :class:`CapExceededError` before a value
+    matrix is oriented; partial validation is never done silently.
     """
     m, n = _two_axes(source)
-    if m + n > max_coords:
-        shown = (2**m - 1) * (2**n - 1) if m + n <= 40 else f"(2^{m} - 1)(2^{n} - 1)"
-        raise CapExceededError(
-            f"validation of a {m}x{n} grid enumerates {shown} "
-            f"subgrids which exceeds the cap (m + n <= {max_coords}); "
-            "raise it with --max-coords on the CLI or max_coords in the API"
-        )
+    if ((1 << m) - 1) * ((1 << n) - 1) > max_subgrids:
+        raise _subgrid_cap_error(source.dims, max_subgrids)
     lines = _value_lines(source.values) if isinstance(source, ValueMatrix) else source.lines
     hit = kernels.find_violation(m, n, lines)
     if hit is None:

@@ -88,6 +88,10 @@ def load_grid(doc: dict) -> ValueMatrix | OrientedGrid | DOrientedGrid:
         if has_values == has_edges:
             raise GridError('grid file needs exactly one of "values" and "edges"')
         if has_values:
+            # numpy would read "1" and true as numbers: refuse all but JSON numbers.
+            if not all(type(row) is list and set(map(type, row)) <= {int, float}
+                       for row in doc["values"]):
+                raise GridError('"values" must be rows of JSON numbers')
             vm = ValueMatrix(doc["values"])
             if vm.values.shape != (m, n):
                 raise GridError(f"values are {vm.values.shape}, shape says {(m, n)}")
@@ -95,7 +99,7 @@ def load_grid(doc: dict) -> ValueMatrix | OrientedGrid | DOrientedGrid:
         return OrientedGrid(GridShape(m, n), _directed_pairs(doc["edges"]))
     except GridError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GridError(f"malformed grid file: {exc!r}") from exc
 
 

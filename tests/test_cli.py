@@ -3,13 +3,16 @@
 import dataclasses
 import hashlib
 import json
+import random
 
+import numpy as np
 import pytest
 
+from usogrid import cli, kernels
 from usogrid.cli import main
 from usogrid.dgrid import DOrientedGrid
-from usogrid.gen import gen_one_line, gen_separable_ddim
-from usogrid.grid import OrientedGrid
+from usogrid.gen import gen_one_line, gen_separable_ddim, uso_words
+from usogrid.grid import GridShape, OrientedGrid
 from usogrid.serialize import grid_to_json, load_grid_file, values_to_json
 from usogrid.solvers import ALGORITHMS
 
@@ -32,10 +35,10 @@ class TestGen:
                          "--seed", "42", "-o", str(path))
         assert code == 0
         assert load_grid_file(path).shape.rows == 8
-        # 8 + 8 is over the default validator cap: refuse, then allow explicitly
-        code, _, _ = run(capsys, "validate", str(path))
+        # 8x8 has 255^2 = 65025 nonempty subgrids: refuse one below, else validate
+        code, _, _ = run(capsys, "validate", str(path), "--max-subgrids", "65024")
         assert code == 3
-        code, out, _ = run(capsys, "validate", str(path), "--max-coords", "16")
+        code, out, _ = run(capsys, "validate", str(path))
         assert code == 0 and out.strip() == "ok"
 
     def test_single_vertex(self, capsys):
@@ -116,6 +119,59 @@ class TestValidate:
         assert code == 3 and "cap" in err
         assert "(2^256 - 1)(2^256 - 1) subgrids" in err
 
+    def test_one_cap_on_every_file(self, tmp_path, capsys):
+        # 3x3 has 7^2 = 49 nonempty subgrids, whatever the file format.
+        vm = gen_one_line(3, 3, 4)
+        for name, doc in (("values", values_to_json(vm)),
+                          ("shape", grid_to_json(OrientedGrid.from_values(vm))),
+                          ("dims", grid_to_json(DOrientedGrid.from_values(vm.values)))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "validate", str(path), "--max-subgrids", "48")
+            assert (code, out) == (3, ""), name
+            assert err.startswith("error: validating dims (3, 3) means 49 subgrids"), name
+            code, out, _ = run(capsys, "validate", str(path), "--max-subgrids", "49")
+            assert (code, out) == (0, "ok\n"), name
+
+    def test_two_axis_dims_file_validates_like_its_shape_file(self, tmp_path, capsys):
+        rng = random.Random(7)
+        words = rng.sample(uso_words((3, 3)), 4)
+        words += [rng.getrandbits(kernels.edge_count(3, 3)) for _ in range(8)]
+        codes = []
+        for word in words:
+            directed = [(a, b) if word >> e & 1 else (b, a) for e, (a, b)
+                        in enumerate(kernels.edge_list((3, 3), kernels.PLANAR_AXES))]
+            for name, grid in (("shape", OrientedGrid(GridShape(3, 3), directed)),
+                               ("dims", DOrientedGrid((3, 3), directed))):
+                (tmp_path / f"{name}.json").write_text(json.dumps(grid_to_json(grid)))
+            shape_run = run(capsys, "validate", str(tmp_path / "shape.json"))
+            assert run(capsys, "validate", str(tmp_path / "dims.json")) == shape_run
+            codes.append(shape_run[0])
+        assert codes[:4] == [0] * 4 and 1 in codes[4:]
+
+    def test_two_axis_dims_file_skips_the_d_axis_scan(self, tmp_path, capsys, monkeypatch):
+        # 9x9 has 511^2 = 261121 subgrids; the 2-D kernel scans them.
+        path = tmp_path / "d9.json"
+        path.write_text(json.dumps(grid_to_json(gen_separable_ddim((9, 9), 0))))
+
+        def d_axis_scan(*_, **__):
+            raise AssertionError("a two-axis file went to the d-axis validator")
+
+        monkeypatch.setattr(cli, "validate_uso_ddim", d_axis_scan)
+        code, out, _ = run(capsys, "validate", str(path), "--max-subgrids", "300000")
+        assert (code, out) == (0, "ok\n")
+
+    def test_three_axis_witness_is_subsets(self, tmp_path, capsys):
+        # A 2x2x2 grid whose only sink is (0, 0, 0), but whose face at
+        # coordinate 1 on axis 0 has two sinks.
+        values = np.arange(8.0).reshape(2, 2, 2)
+        values[1] = [[4.0, 7.0], [6.0, 5.0]]
+        path = tmp_path / "d3.json"
+        path.write_text(json.dumps(grid_to_json(DOrientedGrid.from_values(values))))
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 1
+        assert set(json.loads(out)["violation"]) == {"subsets", "sinks"}
+
 
 #: 2x2 orientations that are not USOs: a directed 4-cycle, and two sources
 #: pointing at two sinks.
@@ -149,11 +205,10 @@ ERROR_PATHS = {
     "enumerate-cap": (["enumerate", "--shape", "5x5"], 3,
                       "error: enumerating a 5x5 grid means 2^100 orientations, above the "
                       "cap of 2^20\n"),
-    "validate-cap": (["validate", "{values}"], 3,
-                     "error: validation of a 8x8 grid enumerates 65025 subgrids which "
-                     "exceeds the cap (m + n <= 14); raise it with --max-coords on the "
-                     "CLI or max_coords in the API\n"),
-    "validate-cap-raised": (["validate", "{values}", "--max-coords", "16"], 0, ""),
+    "validate-cap": (["validate", "{values}", "--max-subgrids", "65024"], 3,
+                     "error: validating dims (8, 8) means 65025 subgrids, above the cap "
+                     "65024; raise max_subgrids explicitly\n"),
+    "validate-cap-raised": (["validate", "{values}", "--max-subgrids", "65025"], 0, ""),
     "validate-ddim-cap": (["validate", "{dims}", "--max-subgrids", "10"], 3,
                           "error: validating dims (3, 3, 3, 3) means 2401 subgrids, above "
                           "the cap 10; raise max_subgrids explicitly\n"),
@@ -218,9 +273,13 @@ class TestMalformedFiles:
         b'{"shape": [1, 2], "edges": [{"a": [1, 1], "b": [1, 2], "dir": "up"}]}',
         b'{"dims": [1, 2], "shape": [1, 2], "edges": [{"a": [1, 1], "b": [1, 2], "dir": "ab"}]}',
         b'{"values": [[1, 2]]}',
+        b'{"shape": [1, 2], "values": [[1, "2"]]}',
+        b'{"shape": [1, 2], "values": [[true, false]]}',
+        b'{"shape": [1, 2], "values": [[1, 1' + b'0' * 400 + b']]}',
     ], ids=["shape-3d", "non-number", "edge-without-b", "not-an-object", "not-utf8",
             "float-coordinate", "bool-and-string-coordinates", "float-shape", "float-dims",
-            "shape-edge-with-3-coordinates", "bad-dir", "dims-and-shape", "no-shape"])
+            "shape-edge-with-3-coordinates", "bad-dir", "dims-and-shape", "no-shape",
+            "numeric-string-value", "boolean-values", "integer-beyond-float"])
     def test_validate_and_solve_exit_2(self, tmp_path, capsys, content):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
@@ -543,8 +602,10 @@ class TestGoldenOutputs:
 REROUTED_OUTPUTS = {
     "validate-values": (0,
         "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22", ""),
+    # Two axes validate as a "shape" file: the rows/cols witness of
+    # GOLDEN_STDOUT's validate-four-cycle, the same orientation.
     "validate-cycle-dims": (1,
-        "e60f19c8d4c4007d4b0669f58de153755fbdb150e4ea2796e2be7954e4b55c9b", ""),
+        "d3107f4b718b4335796b7d250e376d1ef72c7ebe7195b4c2a304c84bdb18c207", ""),
     "solve-ddim-dims": (0,
         "c2fb328661d9e5e4b0ea2c95bc8011b0926a1972fe19c20c653a2ac77a541356", ""),
     "solve-dc-edge-values": (0,

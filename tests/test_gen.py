@@ -124,6 +124,14 @@ class TestEnumeration:
         with pytest.raises(CapExceededError):
             count_usos((4, 4))
 
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 0), (-1, 3), (0, 0)],
+                             ids=lambda shape: f"{shape[0]}x{shape[1]}")
+    def test_non_positive_shape_is_a_grid_error(self, shape):
+        with pytest.raises(GridError, match="positive"):
+            count_usos(shape)
+        with pytest.raises(GridError, match="positive"):
+            list(enumerate_usos(shape))
+
 
 class TestPadding:
     def test_identity_when_square(self):

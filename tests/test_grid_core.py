@@ -80,10 +80,10 @@ class TestValidator:
 
     def test_cap_refuses_loudly(self):
         vm = ValueMatrix(np.arange(64, dtype=float).reshape(8, 8))
+        # 255^2 = 65025 nonempty subgrids
         with pytest.raises(CapExceededError):
-            validate_uso(OrientedGrid.from_values(vm), max_coords=14)
-        # explicit override allows it
-        assert validate_uso(OrientedGrid.from_values(vm), max_coords=16) is None
+            validate_uso(OrientedGrid.from_values(vm), max_subgrids=65024)
+        assert validate_uso(OrientedGrid.from_values(vm), max_subgrids=65025) is None
 
     def test_two_sink_matrix_rejected(self):
         violation = validate_uso(OrientedGrid.from_values(ValueMatrix([[1, 3], [4, 2]])))
@@ -115,6 +115,31 @@ class TestTopologicalValues:
             topological_values(four_cycle)
         assert len(info.value.cycle) == 4
         assert find_cycle(four_cycle) is not None
+
+    def test_cycle_witness_is_a_directed_cycle(self):
+        # Random orientations up to 4x4 and of 2x2x2 and 2x3x2; on two axes
+        # find_cycle finds nothing exactly when values realize the grid.
+        rng = random.Random(5)
+        shapes = [(m, n) for m in range(1, 5) for n in range(1, 5)] + [(2, 2, 2), (2, 3, 2)]
+        cyclic = 0
+        for dims in shapes:
+            for _ in range(100):
+                g = DOrientedGrid.from_edge_word(dims, rng.getrandbits(kernels.edge_count(*dims)))
+                cycle = find_cycle(g)
+                if len(dims) == 2:
+                    try:
+                        topological_values(g)
+                    except CyclicOrientationError:
+                        assert cycle is not None
+                    else:
+                        assert cycle is None
+                if cycle is None:
+                    continue
+                cyclic += 1
+                assert len(set(cycle)) == len(cycle) >= 3
+                for tail, head in zip(cycle, cycle[1:] + cycle[:1]):
+                    assert g.points_to(tail, head)
+        assert cyclic > len(shapes) * 100 // 2
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 4))
