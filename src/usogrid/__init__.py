@@ -24,7 +24,6 @@ from .gen import (
     gen_one_line,
     gen_separable_ddim,
     one_line_instance,
-    pad_values_to_square,
 )
 from .grid import (
     GridShape,

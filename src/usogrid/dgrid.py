@@ -45,7 +45,11 @@ _FLAG_BUDGET = 1 << 22
 
 
 def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
-    dims = tuple(operator.index(d) for d in dims)
+    """``dims`` as a nonempty tuple of positive integers, else GridError."""
+    try:
+        dims = tuple(map(operator.index, dims))
+    except TypeError:
+        raise GridError(f"dims must be positive integers, got {dims!r}") from None
     if not dims or any(d < 1 for d in dims):
         raise GridError(f"dims must be positive, got {dims}")
     return dims
@@ -210,24 +214,11 @@ class DOrientedGrid:
     def vertices(self) -> Iterator[DVertex]:
         yield from itertools.product(*(range(s) for s in self.dims))
 
-    def neighbors(self, v: DVertex) -> Iterator[DVertex]:
-        for axis, size in enumerate(self.dims):
-            for x in range(size):
-                if x != v[axis]:
-                    yield v[:axis] + (x,) + v[axis + 1 :]
-
     def _out_lines(self, v: DVertex) -> tuple[int, ...]:
         """The out line masks at v, one per axis."""
         self._check_vertex(v)
         k = self.index(v)
         return tuple(line[k] for line in self.lines)
-
-    def out_neighbors(self, v: DVertex) -> frozenset[DVertex]:
-        """All w adjacent to v with the edge directed v -> w; empty iff v is a sink."""
-        return _masks_to_vertices(v, self._out_lines(v))
-
-    def in_neighbors(self, v: DVertex) -> frozenset[DVertex]:
-        return _masks_to_vertices(v, _in_masks(v, self.dims, self._out_lines(v)))
 
     def is_sink(self, v: DVertex) -> bool:
         return not any(self._out_lines(v))

@@ -11,16 +11,15 @@ one-line construction produces) for property tests.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import kernels
-from .dgrid import DOrientedGrid
-from .errors import CapExceededError, GridError, NotUsoError
-from .grid import OrientedGrid, ValueMatrix, validate_uso
+from .dgrid import DOrientedGrid, _check_dims
+from .errors import CapExceededError, GridError
+from .grid import OrientedGrid, ValueMatrix
 
 DEFAULT_ENUMERATION_EDGES = 20
 
@@ -73,8 +72,7 @@ def one_line_instance(m: int, n: int, seed: int) -> PointInstance:
 
 def gen_one_line(m: int, n: int, seed: int) -> ValueMatrix:
     """Value matrix of a random one-line instance; always induces a USO."""
-    if m < 1 or n < 1:
-        raise GridError(f"shape must be positive, got {m}x{n}")
+    m, n = _check_dims((m, n))
     return one_line_instance(m, n, seed).value_matrix()
 
 
@@ -82,9 +80,10 @@ def uso_words(shape: tuple[int, int]) -> list[int]:
     """Edge words (see :meth:`OrientedGrid.from_edge_word`) of every USO of the
     (m, n) shape, ascending; raises CapExceededError above
     ``DEFAULT_ENUMERATION_EDGES`` edges."""
-    m, n = shape
-    if m < 1 or n < 1:
-        raise GridError(f"shape must be positive, got {m}x{n}")
+    dims = _check_dims(shape)
+    if len(dims) != 2:
+        raise GridError(f"enumeration takes a two-axis shape, got dims {dims}")
+    m, n = dims
     edges = kernels.edge_count(m, n)
     if edges > DEFAULT_ENUMERATION_EDGES:
         raise CapExceededError(
@@ -105,44 +104,13 @@ def count_usos(shape: tuple[int, int]) -> int:
     return len(uso_words(shape))
 
 
-def pad_values_to_square(vm: ValueMatrix) -> ValueMatrix:
-    """Append dominated rows or columns until the matrix is square.
-
-    The original entries are replaced by their ranks 0 .. m*n-1, which keeps
-    every row and column order and leaves the padding exact for any finite
-    input.  New entries are all strictly larger than every rank and are
-    separable among themselves (m*n + R*i + j), so subgrids touching the
-    original rows keep their original sink while all-new subgrids get a
-    lexicographic-argmin sink.  USO validity, the sink position and every
-    original edge direction are preserved.
-    """
-    m, n = vm.values.shape
-    violation = validate_uso(vm)
-    if violation is not None:
-        raise NotUsoError(f"input does not induce a USO: {violation}")
-    if m == n:
-        return vm
-    s = max(m, n)
-    base = float(m * n)
-    scale = float(s + 1)
-    padded = np.empty((s, s), dtype=np.float64)
-    padded[:m, :n] = np.argsort(np.argsort(vm.values, axis=None)).reshape(m, n)
-    for i in range(s):
-        for j in range(s):
-            if i >= m or j >= n:
-                padded[i, j] = base + scale * i + j
-    return ValueMatrix(padded)
-
-
 def gen_separable_ddim(dims: Sequence[int], seed: int) -> DOrientedGrid:
     """Random d-dimensional USO from a separable value function.
 
     Values are sums of independent per-axis scores, so the coordinate-wise
     argmin of any subgrid is its unique sink; the result always validates.
     """
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise GridError(f"dims must be positive, got {dims}")
+    dims = _check_dims(dims)
     rng = np.random.default_rng(seed)
     while True:
         scores = [rng.random(d) for d in dims]
@@ -153,12 +121,3 @@ def gen_separable_ddim(dims: Sequence[int], seed: int) -> DOrientedGrid:
         if np.unique(values).size == values.size:
             return DOrientedGrid.from_values(values)
 
-
-def contiguous_partitions(size: int, blocks: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All ways to cut [0, size) into the given number of contiguous blocks,
-    as (start, stop) ranges."""
-    if not 1 <= blocks <= size:
-        return
-    for cuts in itertools.combinations(range(1, size), blocks - 1):
-        bounds = (0, *cuts, size)
-        yield tuple((bounds[t], bounds[t + 1]) for t in range(blocks))

@@ -13,7 +13,7 @@ PUBLIC_NAMES = sorted("""
     count_usos dc_edge_bound dc_edge_solve ddim_bound ddim_solve diagonal_bound
     diagonal_solve edge_oracle eliminated_lines enumerate_usos find_cycle
     gen_one_line gen_separable_ddim k_schedule note_query one_line_instance
-    pad_values_to_square random_edge_solve rectangular_bound rectangular_solve
+    random_edge_solve rectangular_bound rectangular_solve
     replay_transcript topological_values validate_uso validate_uso_ddim
     vertex_oracle walk_solve
 """.split())

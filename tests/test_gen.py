@@ -18,12 +18,12 @@ from usogrid import (
     gen_one_line,
     gen_separable_ddim,
     one_line_instance,
-    pad_values_to_square,
     validate_uso,
 )
 from usogrid import kernels
-from usogrid.dgrid import validate_uso_ddim
+from usogrid.dgrid import DOrientedGrid, validate_uso_ddim
 
+from reference import pad_values_to_square
 from uso_counts import USO_COUNTS
 
 
@@ -131,6 +131,26 @@ class TestEnumeration:
             count_usos(shape)
         with pytest.raises(GridError, match="positive"):
             list(enumerate_usos(shape))
+
+
+#: Sizes that are not integers, a bare size where a shape belongs, and shapes
+#: of the wrong axis count, each refused by the one size check.
+BAD_SIZES = {
+    "separable-float-size": lambda: gen_separable_ddim((2.7, 3), 1),
+    "oneline-float-size": lambda: gen_one_line(2.5, 3, 1),
+    "count-float-size": lambda: count_usos((2.5, 2)),
+    "count-three-axes": lambda: count_usos((2, 2, 2)),
+    "count-one-axis": lambda: count_usos((3,)),
+    "enumerate-three-axes": lambda: list(enumerate_usos((2, 2, 2))),
+    "edge-word-float-size": lambda: DOrientedGrid.from_edge_word((2.5, 2), 0),
+    "edge-word-bare-size": lambda: DOrientedGrid.from_edge_word(3, 0),
+}
+
+
+@pytest.mark.parametrize("build", BAD_SIZES.values(), ids=BAD_SIZES.keys())
+def test_bad_sizes_are_grid_errors(build):
+    with pytest.raises(GridError):
+        build()
 
 
 class TestPadding:

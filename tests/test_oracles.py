@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -23,13 +24,11 @@ from usogrid import (
     gen_one_line,
     gen_separable_ddim,
     kernels,
-    pad_values_to_square,
     replay_transcript,
     validate_uso,
     vertex_oracle,
 )
 from usogrid.dgrid import DOrientedGrid
-from usogrid.gen import contiguous_partitions
 from usogrid.grid import GridShape, OrientedGrid
 from usogrid.oracles import (
     InheritedVertexOracle,
@@ -40,6 +39,8 @@ from usogrid.oracles import (
     _FixedAxesView,
 )
 from usogrid.solvers import dc_edge_solve, diagonal_solve, rectangular_solve, walk_solve
+
+from reference import contiguous_partitions, in_neighbors, out_neighbors, pad_values_to_square
 
 
 def grid_1234():
@@ -287,6 +288,20 @@ class TestPartitionPair:
         with pytest.raises(GridError):
             PartitionPair(((1, 2),), ((0, 1),))
 
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_contiguous_partitions_are_every_cut(self, size):
+        # The reference enumerator that the block-grid sweeps iterate: all
+        # C(size - 1, k - 1) cuts into k blocks, and none outside [1, size].
+        for k in range(-1, size + 3):
+            parts = list(contiguous_partitions(size, k))
+            if not 1 <= k <= size:
+                assert parts == []
+                continue
+            assert len(set(parts)) == len(parts) == math.comb(size - 1, k - 1)
+            for blocks in parts:
+                assert len(blocks) == k and blocks[-1][1] == size
+                assert PartitionPair(blocks, blocks).covers == (size, size)
+
 
 class TestInducedOracle:
     def test_singleton_partition_mirrors_base_grid(self):
@@ -346,7 +361,7 @@ class TestInducedOracle:
                 (e0, e1) = parts.row_blocks[x2y2[0]]
                 (d0, d1) = parts.col_blocks[x2y2[1]]
                 return any(
-                    w in g.out_neighbors(u)
+                    w in out_neighbors(g, u)
                     for w in itertools.product(range(e0, e1), range(d0, d1))
                     if w[0] == u[0] or w[1] == u[1]
                 )
@@ -374,14 +389,14 @@ class TestInducedOracle:
                     if y2 <= y:
                         continue
                     outgoing = any(
-                        (u[0], c) in g.out_neighbors(u) for c in range(d0, d1)
+                        (u[0], c) in out_neighbors(g, u) for c in range(d0, d1)
                     )
                     edges.append(((x, y), (x, y2)) if outgoing else ((x, y2), (x, y)))
                 for x2, (e0, e1) in enumerate(parts.row_blocks):
                     if x2 <= x:
                         continue
                     outgoing = any(
-                        (r, u[1]) in g.out_neighbors(u) for r in range(e0, e1)
+                        (r, u[1]) in out_neighbors(g, u) for r in range(e0, e1)
                     )
                     edges.append(((x, y), (x2, y)) if outgoing else ((x2, y), (x, y)))
         h = OrientedGrid(GridShape(2, 2), edges)
@@ -708,10 +723,7 @@ def test_lemma3_style_sweep_materialized_block_grids():
 
 def _neighbour_sets(g, v):
     """(incoming, outgoing) of ``v`` read from an explicit 2-D or d-dim grid."""
-    if isinstance(g, OrientedGrid):
-        return g.in_neighbors(v), g.out_neighbors(v)
-    out = g.out_neighbors(v)
-    return frozenset(g.neighbors(v)) - out, out
+    return in_neighbors(g, v), out_neighbors(g, v)
 
 
 def _swapped_sets(g, v):
@@ -861,8 +873,8 @@ class TestSourceProtocol:
         o = vertex_oracle(source, record=False)
         for v in grid.vertices():
             answer = o.query(v)
-            assert answer.outgoing == grid.out_neighbors(v)
-            assert answer.incoming == grid.in_neighbors(v)
+            assert answer.outgoing == out_neighbors(grid, v)
+            assert answer.incoming == in_neighbors(grid, v)
             assert answer.is_sink == grid.is_sink(v)
         assert o.counter.vertex_queries == grid.vertex_count
 

@@ -44,6 +44,8 @@ from usogrid.solvers import (
     walk_solve,
 )
 
+from reference import out_neighbors
+
 
 def grid_2134():
     return OrientedGrid.from_values(ValueMatrix([[2, 1], [3, 4]]))
@@ -528,7 +530,7 @@ def _check_planar(g: OrientedGrid):
 def _check_ddim(g: DOrientedGrid):
     _check_terminates(lambda o: ddim_solve(o, g.dims),
                       vertex_oracle(g, record=False),
-                      lambda v: not g.out_neighbors(v),
+                      lambda v: not out_neighbors(g, v),
                       g.vertex_count, g.vertex_count)
 
 
