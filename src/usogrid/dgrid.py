@@ -55,6 +55,12 @@ def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
     return dims
 
 
+def _check_vertex(dims: Sequence[int], v) -> None:
+    """GridError unless ``v`` is a vertex of the grid with these dims."""
+    if len(v) != len(dims) or min(v) < 0 or any(map(operator.ge, v, dims)):
+        raise GridError(f"vertex {v} out of bounds for dims {dims}")
+
+
 def _strides(dims: Sequence[int]) -> list[int]:
     """Index step of one coordinate along each axis (row-major numbering)."""
     return [math.prod(dims[a + 1 :]) for a in range(len(dims))]
@@ -185,14 +191,10 @@ class DOrientedGrid:
     def vertex_count(self) -> int:
         return math.prod(self.dims)
 
-    def _check_vertex(self, v: DVertex) -> None:
-        if len(v) != len(self.dims) or min(v) < 0 or any(map(operator.ge, v, self.dims)):
-            raise GridError(f"vertex {v} out of bounds for dims {self.dims}")
-
     def _edge_axis(self, u: DVertex, w: DVertex) -> int:
         """The axis of the line through u and w; GridError unless they are adjacent."""
-        self._check_vertex(u)
-        self._check_vertex(w)
+        _check_vertex(self.dims, u)
+        _check_vertex(self.dims, w)
         differ = list(map(operator.ne, u, w))
         if differ.count(True) != 1:
             raise GridError(f"{u} and {w} must differ in exactly one coordinate")
@@ -216,7 +218,7 @@ class DOrientedGrid:
 
     def _out_lines(self, v: DVertex) -> tuple[int, ...]:
         """The out line masks at v, one per axis."""
-        self._check_vertex(v)
+        _check_vertex(self.dims, v)
         k = self.index(v)
         return tuple(line[k] for line in self.lines)
 

@@ -27,6 +27,7 @@ from .dgrid import (
     DEFAULT_SUBGRID_CAP,
     DOrientedGrid,
     _bits,
+    _check_dims,
     _check_values,
     _in_masks,
     _strides,
@@ -47,11 +48,7 @@ class GridShape:
     cols: int
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise GridError(f"grid shape must be positive, got {self.rows}x{self.cols}")
-
-    def contains(self, v: Vertex) -> bool:
-        return len(v) == 2 and 0 <= v[0] < self.rows and 0 <= v[1] < self.cols
+        _check_dims((self.rows, self.cols))
 
     def vertices(self) -> Iterator[Vertex]:
         for i in range(self.rows):
@@ -59,12 +56,23 @@ class GridShape:
                 yield (i, j)
 
 
+class _PlanarShape:
+    """Mixin for a grid or handle that carries ``dims``: ``shape`` is its
+    2-D view, the one the 2-D solvers check, and None unless it has two axes."""
+
+    __slots__ = ()
+
+    @property
+    def shape(self) -> GridShape | None:
+        return GridShape(*self.dims) if len(self.dims) == 2 else None
+
+
 def _bool_mask(flags: np.ndarray) -> int:
     """Bit c set iff ``flags[c]``."""
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
-class ValueMatrix:
+class ValueMatrix(_PlanarShape):
     """m x n matrix of pairwise-distinct finite numbers.
 
     Comparing entries along rows and columns induces an (acyclic) orientation
@@ -84,15 +92,11 @@ class ValueMatrix:
         self.values = arr
         self.dims = arr.shape
 
-    @property
-    def shape(self) -> GridShape:
-        return GridShape(*self.dims)
-
     def _out_lines(self, v: Vertex) -> tuple[int, int]:
         """The out masks along v's column and row: the smaller entries."""
         m, n = self.dims
         if not (len(v) == 2 and 0 <= v[0] < m and 0 <= v[1] < n):
-            raise GridError(f"vertex {v} out of bounds for {self.shape}")
+            raise GridError(f"vertex {v} out of bounds for dims {self.dims}")
         i, j = v
         x = self.values[i, j]
         return (_bool_mask(self.values[:, j] < x), _bool_mask(self.values[i] < x))
@@ -102,7 +106,7 @@ class ValueMatrix:
         m, n = self.dims
         if not (len(tail) == 2 == len(head) and 0 <= tail[0] < m and 0 <= tail[1] < n
                 and 0 <= head[0] < m and 0 <= head[1] < n):
-            raise GridError(f"edge {tail}-{head} out of bounds for {self.shape}")
+            raise GridError(f"edge {tail}-{head} out of bounds for dims {self.dims}")
         if tail == head or (tail[0] != head[0] and tail[1] != head[1]):
             raise GridError(f"{tail}-{head} is not a grid edge")
         return self.values[tail] > self.values[head]
@@ -121,13 +125,13 @@ class ValueMatrix:
         return f"ValueMatrix({self.values.tolist()!r})"
 
 
-class OrientedGrid(DOrientedGrid):
+class OrientedGrid(DOrientedGrid, _PlanarShape):
     """Total edge orientation of an (m, n) grid: the d = 2 case of
     :class:`DOrientedGrid`.
 
     Axis 0 is the row coordinate, so ``lines[0][k]`` (bits over rows) holds
     the column through vertex k and ``lines[1][k]`` (bits over columns) its
-    row.  This class adds only what 2-D callers read: its :class:`GridShape`,
+    row.  This class adds only what 2-D callers read: its 2-D ``shape``,
     restriction to a subgrid and the kernels' row-edges-first edge words.
     Immutable after construction; safe to share across threads.
     """
@@ -138,10 +142,6 @@ class OrientedGrid(DOrientedGrid):
         """Build from (tail, head) pairs; every grid edge must appear exactly once."""
         super().__init__((shape.rows, shape.cols), directed_edges)
 
-    @property
-    def shape(self) -> GridShape:
-        return GridShape(*self.dims)
-
     @classmethod
     def from_values(cls, vm: ValueMatrix) -> "OrientedGrid":
         """Orient every row/column pair from the larger entry to the smaller."""
@@ -150,7 +150,8 @@ class OrientedGrid(DOrientedGrid):
     @classmethod
     def from_edge_word(cls, m: int, n: int, word: int) -> "OrientedGrid":
         """Decode a kernel edge word (see :mod:`usogrid.kernels`)."""
-        return cls._from_lines((m, n), kernels.word_to_lines((m, n), word, kernels.PLANAR_AXES))
+        dims = _check_dims((m, n))
+        return cls._from_lines(dims, kernels.word_to_lines(dims, word, kernels.PLANAR_AXES))
 
     def restrict(self, rows: Iterable[int], cols: Iterable[int]) -> "OrientedGrid":
         """Induced sub-orientation, re-indexed to |rows| x |cols|.

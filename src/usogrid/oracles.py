@@ -25,9 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dgrid import DOrientedGrid, _check_line, _full, _in_masks, _masks_to_vertices
+from .dgrid import (DOrientedGrid, _check_dims, _check_line, _check_vertex, _full, _in_masks,
+                    _masks_to_vertices)
 from .errors import AdversaryError, GridError, SubSolverError
-from .grid import GridShape, OrientedGrid, ValueMatrix, Vertex, _bool_mask
+from .grid import OrientedGrid, ValueMatrix, Vertex, _bool_mask, _PlanarShape
 from .kernels import _bit_list
 
 
@@ -136,7 +137,7 @@ def replay_transcript(records: Sequence[TranscriptRecord], oracle) -> bool:
     return True
 
 
-class VertexOracle:
+class VertexOracle(_PlanarShape):
     """Base for vertex-query handles: caching, counting, transcript."""
 
     def __init__(self, record: bool = True):
@@ -161,15 +162,12 @@ class VertexOracle:
 
 class SourceVertexOracle(VertexOracle):
     """Vertex oracle over a source (a value matrix, or an explicit grid of
-    any dimension): an answer is the source's out line masks at the vertex.
-    Any two-axis source, a "dims" grid too, gets the 2-D ``shape`` the
-    vertex solvers check."""
+    any dimension): an answer is the source's out line masks at the vertex."""
 
     def __init__(self, source: ValueMatrix | DOrientedGrid, record: bool = True):
         super().__init__(record)
         self.source = source
         self.dims = source.dims
-        self.shape = GridShape(*self.dims) if len(self.dims) == 2 else None
 
     def _answer(self, v) -> VertexAnswer:
         out = self.source._out_lines(v)
@@ -190,7 +188,7 @@ def vertex_oracle(
     return SourceVertexOracle(source, record)
 
 
-class EdgeOracle:
+class EdgeOracle(_PlanarShape):
     """Edge-query handle over a two-axis source (a value matrix or an
     explicit grid with two axes).
 
@@ -210,15 +208,15 @@ class EdgeOracle:
         self.counter = QueryCounter()
         self.transcript: list[TranscriptRecord] | None = [] if record else None
         self.source = source
-        self.shape = GridShape(*source.dims)
+        self.dims = m, n = source.dims
         # _known[axis][k]: bit c set iff the edge from vertex k (row-major) to
         # the vertex with coordinate c on its line along axis is known.
-        self._known = tuple([0] * (self.shape.rows * self.shape.cols) for _ in range(2))
+        self._known = tuple([0] * (m * n) for _ in range(2))
 
     def query_edge(self, u: Vertex, w: Vertex) -> Vertex:
         head = w if self.source._points_to(u, w) else u
         axis = 0 if u[0] != w[0] else 1
-        n = self.shape.cols
+        n = self.dims[1]
         known = self._known[axis]
         ku = u[0] * n + u[1]
         if not known[ku] >> w[axis] & 1:
@@ -232,7 +230,7 @@ class EdgeOracle:
     def query_line(self, u: Vertex, axis: int, lo: int, hi: int) -> int:
         span = _check_line(self.source.dims, axis, lo, hi)
         out = self.source._out_lines(u)[axis] & span
-        n = self.shape.cols
+        n = self.dims[1]
         known = self._known[axis]
         ku = u[0] * n + u[1]
         c = u[axis]
@@ -263,7 +261,7 @@ def edge_oracle(source: DOrientedGrid | ValueMatrix, record: bool = True) -> Edg
     return EdgeOracle(source, record)
 
 
-class _View:
+class _View(_PlanarShape):
     """A handle that answers through a base handle and counts on its counter."""
 
     def __init__(self, base):
@@ -279,11 +277,12 @@ class TransposedVertexOracle(_View):
 
     def __init__(self, base):
         super().__init__(base)
-        self.shape = GridShape(base.shape.cols, base.shape.rows)
+        # From ``shape``: perfbench/tests' ``_FlipAtSink``, which this view
+        # wraps on tall grids, copies only ``shape`` from its base.
+        self.dims = (base.shape.cols, base.shape.rows)
 
     def query(self, v: Vertex) -> VertexAnswer:
-        if not self.shape.contains(v):
-            raise GridError(f"vertex {v} out of bounds for {self.shape}")
+        _check_vertex(self.dims, v)
         ans = self._base.query((v[1], v[0]))
         return VertexAnswer.from_masks(v, ans.lines_in[::-1], ans.lines_out[::-1])
 
@@ -305,16 +304,17 @@ class AdversaryVertexOracle(VertexOracle):
 
     def __init__(self, shape: tuple[int, int], record: bool = True):
         super().__init__(record)
-        self.shape = GridShape(*shape)
-        self._values = np.full(shape, -np.inf)
+        self.dims = _check_dims(shape)
+        if len(self.dims) != 2:
+            raise GridError(f"the adversary needs two axes, dims are {self.dims}")
+        self._values = np.full(self.dims, -np.inf)
         self._rows_frozen = 0
         self.sink: Vertex | None = None
 
     def _answer(self, v: Vertex) -> VertexAnswer:
-        if not self.shape.contains(v):
-            raise GridError(f"vertex {v} out of bounds for {self.shape}")
+        _check_vertex(self.dims, v)
         i, j = v
-        m, n = self.shape.rows, self.shape.cols
+        m, n = self.dims
         vals = self._values
         if vals[i, j] == -np.inf:
             if self._rows_frozen < m - 1:
@@ -360,8 +360,8 @@ class PartitionPair:
                     raise GridError("partition blocks must be adjacent")
 
     @property
-    def block_shape(self) -> GridShape:
-        return GridShape(len(self.row_blocks), len(self.col_blocks))
+    def block_dims(self) -> tuple[int, int]:
+        return (len(self.row_blocks), len(self.col_blocks))
 
     @property
     def covers(self) -> tuple[int, int]:
@@ -381,6 +381,7 @@ class PartitionPair:
     @classmethod
     def near_equal(cls, m: int, n: int, k: int, l: int) -> "PartitionPair":
         """k x l blocks with sizes differing by at most one per axis."""
+        m, n, k, l = _check_dims((m, n, k, l))
         if not (1 <= k <= m and 1 <= l <= n):
             raise GridError(f"cannot split {m}x{n} into {k}x{l} blocks")
         return cls(cls._split(m, k), cls._split(n, l))
@@ -399,22 +400,20 @@ class _BlockEdgeView(_View):
         super().__init__(base)
         self._r0, r1 = rows
         self._c0, c1 = cols
-        self._dims = (r1 - self._r0, c1 - self._c0)
-        self.shape = GridShape(*self._dims)
+        self.dims = (r1 - self._r0, c1 - self._c0)
 
     def query_edge(self, u: Vertex, w: Vertex) -> Vertex:
-        rows, cols = self._dims
+        rows, cols = self.dims
         if not (len(u) == 2 == len(w) and 0 <= u[0] < rows and 0 <= u[1] < cols
                 and 0 <= w[0] < rows and 0 <= w[1] < cols):
-            raise GridError(f"edge {u}-{w} out of bounds for block {self.shape}")
+            raise GridError(f"edge {u}-{w} out of bounds for block dims {self.dims}")
         gu = (u[0] + self._r0, u[1] + self._c0)
         gw = (w[0] + self._r0, w[1] + self._c0)
         return u if self._base.query_edge(gu, gw) == gu else w
 
     def query_line(self, u: Vertex, axis: int, lo: int, hi: int) -> int:
-        if not self.shape.contains(u):
-            raise GridError(f"vertex {u} out of bounds for block {self.shape}")
-        _check_line(self._dims, axis, lo, hi)
+        _check_vertex(self.dims, u)
+        _check_line(self.dims, axis, lo, hi)
         shift = self._c0 if axis else self._r0
         gu = (u[0] + self._r0, u[1] + self._c0)
         return self._base.query_line(gu, axis, lo + shift, hi + shift) >> shift
@@ -430,24 +429,22 @@ class _BlockGridOracle(VertexOracle):
     vertex queries, and it keeps no transcript.
     """
 
-    def __init__(self, base, sub_solver: Callable, shape: GridShape):
+    def __init__(self, base, sub_solver: Callable, dims: tuple[int, int]):
         super().__init__(record=False)
         self._base = base
         self._sub = sub_solver
         self._block_sinks: dict[Vertex, tuple] = {}
-        self.shape = shape
+        self.dims = dims
 
     def block_sink(self, xy: Vertex) -> tuple:
         """Base-grid sink of an already-queried block."""
         return self._block_sinks[xy]
 
     def _answer(self, xy: Vertex) -> VertexAnswer:
-        if not self.shape.contains(xy):
-            raise GridError(f"block {xy} out of bounds for {self.shape}")
+        _check_vertex(self.dims, xy)
         sink, out = self._solve_block(xy)
         self._block_sinks[xy] = sink
-        sizes = (self.shape.rows, self.shape.cols)
-        return VertexAnswer.from_masks(xy, _in_masks(xy, sizes, out), out)
+        return VertexAnswer.from_masks(xy, _in_masks(xy, self.dims, out), out)
 
     def _solve_block(self, xy: Vertex) -> tuple[tuple, tuple[int, int]]:
         """The block's sink in base coordinates and its out masks over the
@@ -467,12 +464,9 @@ class InducedVertexOracle(_BlockGridOracle):
 
     def __init__(self, base, parts: PartitionPair,
                  sub_solver: Callable[[_BlockEdgeView], Vertex]):
-        if parts.covers != (base.shape.rows, base.shape.cols):
-            raise GridError(
-                f"partition covers {parts.covers}, base oracle is "
-                f"{base.shape.rows}x{base.shape.cols}"
-            )
-        super().__init__(base, sub_solver, parts.block_shape)
+        if parts.covers != base.dims:
+            raise GridError(f"partition covers {parts.covers}, base oracle dims are {base.dims}")
+        super().__init__(base, sub_solver, parts.block_dims)
         self._parts = parts
 
     def _solve_block(self, xy: Vertex) -> tuple[Vertex, tuple[int, int]]:
@@ -483,8 +477,9 @@ class InducedVertexOracle(_BlockGridOracle):
         u = (r0 + local[0], c0 + local[1])
         if not (r0 <= u[0] < r1 and c0 <= u[1] < c1):
             raise SubSolverError(f"sub-solver returned {u} outside block {xy}")
-        row_out = self._base.query_line(u, 1, 0, self._base.shape.cols)
-        col_out = self._base.query_line(u, 0, 0, self._base.shape.rows)
+        rows, cols = self._base.dims
+        row_out = self._base.query_line(u, 1, 0, cols)
+        col_out = self._base.query_line(u, 0, 0, rows)
         if row_out & _full(c1) >> c0 << c0 or col_out & _full(r1) >> r0 << r0:
             raise SubSolverError(f"sub-solver sink {u} has an outgoing edge in block {xy}")
         # A block points out along a line iff some base edge into it does.
@@ -505,22 +500,22 @@ class PaddedEdgeOracle(_View):
     """
 
     def __init__(self, base, side: int):
-        bm, bn = base.shape.rows, base.shape.cols
+        bm, bn = base.dims
         if side < max(bm, bn):
             raise GridError(f"padding side {side} below max({bm}, {bn})")
         super().__init__(base)
         self._m, self._n = bm, bn
-        self.shape = GridShape(side, side)
+        self.dims = (side, side)
         self._scale = side + 1
 
     def _real(self, v: Vertex) -> bool:
         return v[0] < self._m and v[1] < self._n
 
     def query_edge(self, u: Vertex, w: Vertex) -> Vertex:
-        side = self.shape.rows
+        side = self.dims[0]
         if not (len(u) == 2 == len(w) and 0 <= u[0] < side and 0 <= u[1] < side
                 and 0 <= w[0] < side and 0 <= w[1] < side):
-            raise GridError(f"edge {u}-{w} out of bounds for {self.shape}")
+            raise GridError(f"edge {u}-{w} out of bounds for dims {self.dims}")
         if u == w or (u[0] != w[0] and u[1] != w[1]):
             raise GridError(f"{u}-{w} is not a grid edge")
         ru, rw = self._real(u), self._real(w)
@@ -533,9 +528,8 @@ class PaddedEdgeOracle(_View):
         return u if ku < kw else w
 
     def query_line(self, u: Vertex, axis: int, lo: int, hi: int) -> int:
-        if not self.shape.contains(u):
-            raise GridError(f"vertex {u} out of bounds for {self.shape}")
-        span = _check_line((self.shape.rows, self.shape.cols), axis, lo, hi)
+        _check_vertex(self.dims, u)
+        span = _check_line(self.dims, axis, lo, hi)
         if not self._real(u):
             # Real neighbours and smaller keys both lie below u on the line.
             return _full(u[axis]) & span
@@ -579,7 +573,7 @@ class InheritedVertexOracle(_BlockGridOracle):
     def __init__(self, base, sub_solver: Callable[[_FixedAxesView], tuple]):
         if len(base.dims) < 2:
             raise GridError(f"inherited oracle needs two axes, dims are {base.dims}")
-        super().__init__(base, sub_solver, GridShape(*base.dims[:2]))
+        super().__init__(base, sub_solver, base.dims[:2])
 
     def _solve_block(self, xy: Vertex) -> tuple[tuple, tuple[int, int]]:
         view = _FixedAxesView(self._base, xy)

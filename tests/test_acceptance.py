@@ -188,7 +188,7 @@ def test_criterion_5_induced_block_grids():
                                 g.restrict(range(r0, r1), range(c0, c1))
                             )
                             sinks[(x, y)] = (local[0] + r0, local[1] + c0)
-                    k, l = parts.block_shape.rows, parts.block_shape.cols
+                    k, l = parts.block_dims
                     for x in range(k):
                         for y in range(l):
                             u = sinks[(x, y)]

@@ -6,14 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usogrid import (
+    AdversaryVertexOracle,
     CapExceededError,
     GridError,
+    GridShape,
     NotUsoError,
     OrientedGrid,
+    PartitionPair,
     PointInstance,
     ValueMatrix,
     brute_force_sink,
     count_usos,
+    ddim_bound,
     enumerate_usos,
     gen_one_line,
     gen_separable_ddim,
@@ -133,8 +137,9 @@ class TestEnumeration:
             list(enumerate_usos(shape))
 
 
-#: Sizes that are not integers, a bare size where a shape belongs, and shapes
-#: of the wrong axis count, each refused by the one size check.
+#: Sizes that are not positive integers, a bare size where a shape belongs,
+#: and shapes with no axes or the wrong axis count, each refused by the one
+#: size check.
 BAD_SIZES = {
     "separable-float-size": lambda: gen_separable_ddim((2.7, 3), 1),
     "oneline-float-size": lambda: gen_one_line(2.5, 3, 1),
@@ -144,6 +149,15 @@ BAD_SIZES = {
     "enumerate-three-axes": lambda: list(enumerate_usos((2, 2, 2))),
     "edge-word-float-size": lambda: DOrientedGrid.from_edge_word((2.5, 2), 0),
     "edge-word-bare-size": lambda: DOrientedGrid.from_edge_word(3, 0),
+    "grid-shape-float-size": lambda: GridShape(2.5, 2),
+    "planar-edge-word-zero-size": lambda: OrientedGrid.from_edge_word(0, 3, 0),
+    "planar-edge-word-float-size": lambda: OrientedGrid.from_edge_word(2.5, 2, 0),
+    "ddim-bound-float-size": lambda: ddim_bound((2.5, 2)),
+    "ddim-bound-zero-size": lambda: ddim_bound((0, 3)),
+    "ddim-bound-no-axes": lambda: ddim_bound(()),
+    "adversary-float-size": lambda: AdversaryVertexOracle((2.5, 3)),
+    "adversary-three-axes": lambda: AdversaryVertexOracle((2, 2, 2)),
+    "partition-float-size": lambda: PartitionPair.near_equal(2.5, 4, 2, 2),
 }
 
 

@@ -342,6 +342,7 @@ class _LinesByEdges:
     def __init__(self, oracle):
         self._oracle = oracle
         self.shape = oracle.shape
+        self.dims = oracle.dims
         self.counter = oracle.counter
 
     def query_edge(self, u, w):
@@ -403,14 +404,25 @@ class TestDdimSolve:
             text += [f"{v} {a.lines_in} {a.lines_out}" for _, v, a in o.transcript]
         assert hashlib.sha256("\n".join(text).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("m,n", [(2, 3), (5, 7), (7, 5), (16, 16)])
+    def test_adversary_forces_m_plus_n_minus_1(self, m, n):
+        # Two axes: the inherited oracle over the adversary asks exactly
+        # what the rectangular solver asks of it directly.
+        od, orect = AdversaryVertexOracle((m, n)), AdversaryVertexOracle((m, n))
+        sink, counter = ddim_solve(od, (m, n))
+        assert (sink, counter) == rectangular_solve(orect, m, n)
+        assert counter.vertex_queries == rectangular_bound(m, n)
+        assert od.transcript == orect.transcript
+        assert sink == od.sink
+
     @pytest.mark.parametrize("oracle", [
         lambda: AdversaryVertexOracle((2, 3)),
         lambda: TransposedVertexOracle(vertex_oracle(gen_one_line(3, 2, 0))),
     ], ids=["adversary", "transposed"])
-    def test_handle_without_dims_is_a_grid_error(self, oracle):
+    def test_dims_mismatch_is_a_grid_error(self, oracle):
         o = oracle()
         with pytest.raises(GridError, match="do not match"):
-            ddim_solve(o, (2, 3))
+            ddim_solve(o, (3, 2))
         assert o.counter.vertex_queries == 0
 
     def test_bound_function(self):
