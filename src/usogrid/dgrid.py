@@ -15,10 +15,11 @@ private methods that every source defines, a grid here and a value matrix
 ``_out_lines(v)``, the out line masks at v (what a vertex query reveals),
 and ``_points_to(tail, head)``, whether that edge is directed tail -> head
 (what an edge query reveals).  Both raise :class:`GridError` for a vertex
-out of bounds, of the wrong arity, or a pair that is not an edge.  A source
-also carries ``dims``.  Everything else is derived from these: a line of
-edge queries is the vertex answer's mask on one axis, cut to the range the
-edge handle has checked with :func:`_check_line`.
+out of bounds, of the wrong arity or with a coordinate that is not a Python
+int, or a pair that is not an edge.  A source also carries ``dims``.
+Everything else is derived from these: a line of edge queries is the vertex
+answer's mask on one axis, cut to the range the edge handle has checked
+with :func:`_check_line`.
 """
 
 from __future__ import annotations
@@ -45,19 +46,23 @@ _FLAG_BUDGET = 1 << 22
 
 
 def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
-    """``dims`` as a nonempty tuple of positive integers, else GridError."""
+    """``dims`` as a nonempty tuple of positive Python ints, else GridError.
+    Bools and numpy integers are refused, as everywhere sizes and
+    coordinates are checked."""
     try:
-        dims = tuple(map(operator.index, dims))
+        dims = tuple(dims)
     except TypeError:
         raise GridError(f"dims must be positive integers, got {dims!r}") from None
-    if not dims or any(d < 1 for d in dims):
-        raise GridError(f"dims must be positive, got {dims}")
+    if not dims or set(map(type, dims)) != {int} or min(dims) < 1:
+        raise GridError(f"dims must be positive integers, got {dims}")
     return dims
 
 
 def _check_vertex(dims: Sequence[int], v) -> None:
-    """GridError unless ``v`` is a vertex of the grid with these dims."""
-    if len(v) != len(dims) or min(v) < 0 or any(map(operator.ge, v, dims)):
+    """GridError unless ``v`` is a vertex of the grid with these dims: one
+    Python int per axis, each in range."""
+    if (len(v) != len(dims) or set(map(type, v)) != {int} or min(v) < 0
+            or any(map(operator.ge, v, dims))):
         raise GridError(f"vertex {v} out of bounds for dims {dims}")
 
 
@@ -71,9 +76,10 @@ def _full(size: int) -> int:
 
 
 def _check_line(dims: Sequence[int], axis: int, lo: int, hi: int) -> int:
-    """The mask of coordinates [lo, hi) on ``axis``; GridError unless the
-    axis exists and 0 <= lo <= hi <= its size."""
-    if not (0 <= axis < len(dims) and 0 <= lo <= hi <= dims[axis]):
+    """The mask of coordinates [lo, hi) on ``axis``; GridError unless all
+    three are Python ints, the axis exists and 0 <= lo <= hi <= its size."""
+    if not (set(map(type, (axis, lo, hi))) == {int} and 0 <= axis < len(dims)
+            and 0 <= lo <= hi <= dims[axis]):
         raise GridError(f"no line range [{lo}, {hi}) on axis {axis} of dims {tuple(dims)}")
     return _full(hi) >> lo << lo
 

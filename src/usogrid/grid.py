@@ -29,6 +29,7 @@ from .dgrid import (
     _bits,
     _check_dims,
     _check_values,
+    _check_vertex,
     _in_masks,
     _strides,
     _subgrid_cap_error,
@@ -94,9 +95,7 @@ class ValueMatrix(_PlanarShape):
 
     def _out_lines(self, v: Vertex) -> tuple[int, int]:
         """The out masks along v's column and row: the smaller entries."""
-        m, n = self.dims
-        if not (len(v) == 2 and 0 <= v[0] < m and 0 <= v[1] < n):
-            raise GridError(f"vertex {v} out of bounds for dims {self.dims}")
+        _check_vertex(self.dims, v)
         i, j = v
         x = self.values[i, j]
         return (_bool_mask(self.values[:, j] < x), _bool_mask(self.values[i] < x))
@@ -109,7 +108,10 @@ class ValueMatrix(_PlanarShape):
             raise GridError(f"edge {tail}-{head} out of bounds for dims {self.dims}")
         if tail == head or (tail[0] != head[0] and tail[1] != head[1]):
             raise GridError(f"{tail}-{head} is not a grid edge")
-        return self.values[tail] > self.values[head]
+        try:
+            return self.values[tail] > self.values[head]
+        except IndexError:
+            raise GridError(f"edge {tail}-{head} has a coordinate that is not an int") from None
 
     def argmin_vertex(self) -> Vertex:
         """Position of the global minimum: the sink of the induced orientation."""
@@ -163,13 +165,11 @@ class OrientedGrid(DOrientedGrid, _PlanarShape):
         csel = sorted(set(cols))
         if not rsel or not csel:
             raise GridError("restriction needs nonempty row and column sets")
-        m, n = self.dims
         for i in rsel:
-            if not 0 <= i < m:
-                raise GridError(f"row {i} out of bounds")
+            _check_vertex(self.dims, (i, csel[0]))
         for j in csel:
-            if not 0 <= j < n:
-                raise GridError(f"column {j} out of bounds")
+            _check_vertex(self.dims, (rsel[0], j))
+        n = self.dims[1]
         col_lines, row_lines = self.lines
         return OrientedGrid._from_lines((len(rsel), len(csel)), (
             [_select_bits(col_lines[i * n + j], rsel) for i in rsel for j in csel],

@@ -491,22 +491,22 @@ class PaddedEdgeOracle(_View):
     """Edge oracle over the square padding of a rectangular base oracle.
 
     Queries between real vertices pass through (and count on) the base
-    handle.  Synthetic vertices behave as values base + R*i + j above every
-    real value, so any edge touching one is answered free of charge: toward
-    the real endpoint, or toward the smaller R*i + j key when both endpoints
-    are synthetic-region cells.  A line query forwards its real part to the
-    base handle; a synthetic vertex points to every vertex below it on its
-    line.  The padded sink equals the base sink.
+    handle.  Synthetic vertices rank above every real vertex and among
+    themselves in lexicographic order, so any edge touching one is answered
+    free of charge: toward the real endpoint, or toward the lexicographically
+    smaller one when both endpoints are synthetic.  A line query forwards its
+    real part to the base handle; a synthetic vertex points to every vertex
+    below it on its line.  The padded sink equals the base sink.
     """
 
     def __init__(self, base, side: int):
         bm, bn = base.dims
+        (side,) = _check_dims((side,))
         if side < max(bm, bn):
             raise GridError(f"padding side {side} below max({bm}, {bn})")
         super().__init__(base)
         self._m, self._n = bm, bn
         self.dims = (side, side)
-        self._scale = side + 1
 
     def _real(self, v: Vertex) -> bool:
         return v[0] < self._m and v[1] < self._n
@@ -523,15 +523,14 @@ class PaddedEdgeOracle(_View):
             return self._base.query_edge(u, w)
         if ru != rw:
             return u if ru else w
-        ku = u[0] * self._scale + u[1]
-        kw = w[0] * self._scale + w[1]
-        return u if ku < kw else w
+        # Adjacent vertices share a row or a column: the smaller is the lower one.
+        return min(u, w)
 
     def query_line(self, u: Vertex, axis: int, lo: int, hi: int) -> int:
         _check_vertex(self.dims, u)
         span = _check_line(self.dims, axis, lo, hi)
         if not self._real(u):
-            # Real neighbours and smaller keys both lie below u on the line.
+            # Real neighbours and smaller synthetic ones both lie below u on the line.
             return _full(u[axis]) & span
         real = self._n if axis else self._m
         return self._base.query_line(u, axis, lo, min(hi, real)) if lo < real else 0

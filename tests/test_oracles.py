@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,7 +39,8 @@ from usogrid.oracles import (
     _BlockEdgeView,
     _FixedAxesView,
 )
-from usogrid.solvers import dc_edge_solve, diagonal_solve, rectangular_solve, walk_solve
+from usogrid.solvers import (dc_edge_solve, ddim_solve, diagonal_solve, rectangular_solve,
+                             walk_solve)
 
 from reference import contiguous_partitions, in_neighbors, out_neighbors, pad_values_to_square
 
@@ -170,6 +172,45 @@ class TestVertexArity:
     def test_wrong_arity_is_a_grid_error(self, query):
         with pytest.raises(GridError, match="out of bounds"):
             query()
+
+
+class TestMalformedCoordinates:
+    """A size or coordinate must be a Python int: a float, a bool or a numpy
+    integer is a GridError at every handle and source, never an IndexError,
+    a TypeError, a numpy error or a silent answer."""
+
+    @staticmethod
+    def _vm():
+        return gen_one_line(3, 4, 1)
+
+    @staticmethod
+    def _grid():
+        return OrientedGrid.from_values(gen_one_line(3, 4, 1))
+
+    @pytest.mark.parametrize("call", [
+        lambda: vertex_oracle(TestMalformedCoordinates._vm()).query((0.5, 0)),
+        lambda: AdversaryVertexOracle((3, 3)).query((0.5, 0)),
+        lambda: TransposedVertexOracle(vertex_oracle(TestMalformedCoordinates._vm())).query(
+            (0.5, 0)),
+        lambda: edge_oracle(TestMalformedCoordinates._vm()).query_edge((0.5, 0), (1, 0)),
+        lambda: edge_oracle(TestMalformedCoordinates._vm()).query_line((0.5, 0), 1, 0, 2),
+        lambda: vertex_oracle(TestMalformedCoordinates._grid()).query((0.5, 0)),
+        lambda: vertex_oracle(gen_separable_ddim((2, 3, 2), 0)).query((0.5, 0, 0)),
+        lambda: TestMalformedCoordinates._grid().points_to((0.5, 0), (1, 0)),
+        lambda: TestMalformedCoordinates._grid().restrict([0.5], [0]),
+        lambda: edge_oracle(TestMalformedCoordinates._grid()).query_edge((0.5, 0), (1, 0)),
+        lambda: edge_oracle(TestMalformedCoordinates._vm()).query_line((0, 0), 1, 0.5, 2),
+        lambda: ddim_solve(vertex_oracle(gen_separable_ddim((2, 3, 2), 0)), 5),
+        lambda: vertex_oracle(gen_one_line(3, 100, 1)).query((np.int64(1), np.int64(70))),
+        lambda: vertex_oracle(TestMalformedCoordinates._vm()).query((True, 0)),
+        lambda: PaddedEdgeOracle(edge_oracle(TestMalformedCoordinates._vm()), 4.5),
+    ], ids=["values-vertex", "adversary-vertex", "transposed-vertex", "values-edge",
+            "values-line-vertex", "grid-vertex", "ddim-vertex", "grid-points-to",
+            "grid-restrict", "grid-edge", "values-line-range", "ddim-solve-dims",
+            "numpy-int-vertex", "bool-vertex", "padded-side"])
+    def test_non_int_is_a_grid_error(self, call):
+        with pytest.raises(GridError):
+            call()
 
 
 class TestAdversary:

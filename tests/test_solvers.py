@@ -57,26 +57,26 @@ class TestNoteQuery:
         o = vertex_oracle(grid_2134())
         note_query(state, o.query((0, 0)))
         assert state.elim == [0b01, 0b01]  # rows {0, 1} x column {0}
-        assert state.is_eliminated((0, 0)) and state.is_eliminated((1, 0))
-        assert not state.is_eliminated((0, 1))
+        assert state.elim[0] & 0b01 and state.elim[1] & 0b01
+        assert not state.elim[0] & 0b10
 
     def test_no_incoming_eliminates_only_itself(self):
         state = EliminationState(2, 2)
         o = vertex_oracle(grid_2134())
         note_query(state, o.query((1, 1)))
         assert state.elim == [0b00, 0b10]  # row {1} x column {1}
-        assert state.is_eliminated((1, 1)) and not state.is_eliminated((1, 0))
+        assert state.elim[1] & 0b10 and not state.elim[1] & 0b01
 
     def test_sink_answer_sets_sink_and_eliminates_nothing(self):
         state = EliminationState(2, 2)
         o = vertex_oracle(grid_2134())
         note_query(state, o.query((0, 1)))
         assert state.sink == (0, 1)
-        assert not any(state.is_eliminated(v) for v in [(0, 0), (1, 0), (1, 1)])
+        assert not any(state.elim[i] >> j & 1 for i, j in [(0, 0), (1, 0), (1, 1)])
 
     def test_rejects_inactive_vertex(self):
         state = EliminationState(2, 2)
-        state.deactivate(row=0)
+        state.active_rows &= ~0b01  # row 0
         o = vertex_oracle(grid_2134())
         with pytest.raises(Exception):
             note_query(state, o.query((0, 0)))
@@ -214,6 +214,29 @@ class TestRectangularSolve:
             assert sink == brute_force_sink(g)
             assert counter.vertex_queries <= rectangular_bound(*dims)
 
+    @pytest.mark.parametrize("m,n,digest", [
+        (1, 1, "4096acb13263315870b81fc6ad76b08aba4c0167719b704bf851ac81d7917f10"),
+        (1, 7, "54a6d7c19fedae01f2ca7e786ae455d9132687912193971ecba0796d5d9b3a6b"),
+        (7, 1, "bdb532f42ff017ffb9e9d9c1756e95d636c66c8b0c7d55af66d9548e27822d83"),
+        (3, 4, "dcd202a7fdb5f568f7d1dfa0eb8bb69dec6b3c12025c0096a5a492ca6f93fbf7"),
+        (4, 3, "60ab0aa6f8525d66b99ffb828dbf390a47089ba3d6d4609f0e0c90fe4309f76d"),
+        (6, 6, "7e9ede8d1952b74cdb76bc72c7987d006b14f545779c29160cee9c367e67a3cc"),
+        (5, 13, "1f941b9bb501d6f34905a6746f09aaf808c78cfdf1d688dea683bfb61bb52643"),
+        (13, 5, "0f6890367be536fa19dd378938c02212748b941d4d744c6cbe07345955e050b6"),
+        (16, 16, "c96f2f4108c93ae7f34bc1ffdaf15c929b2bf1849dd063579dc26edfa08d479b"),
+    ], ids=["1x1", "1x7", "7x1", "3x4", "4x3", "6x6", "5x13", "13x5", "16x16"])
+    def test_transcripts_frozen(self, m, n, digest):
+        # sha256 of the sink, counts and recorded answers for seeds 0-2,
+        # frozen while the solver still ran two loops; the tall shapes run
+        # the transposed path.
+        text = []
+        for seed in range(3):
+            o = vertex_oracle(gen_one_line(m, n, seed))
+            sink, counter = rectangular_solve(o, m, n)
+            text.append(f"{sink} {counter.as_dict()}")
+            text += [f"{v} {a.lines_in} {a.lines_out}" for _, v, a in o.transcript]
+        assert hashlib.sha256("\n".join(text).encode()).hexdigest() == digest
+
     def test_sink_never_eliminated_and_monotone(self):
         # replant the engine by hand to watch the eliminated set grow
         vm = gen_one_line(6, 6, 3)
@@ -230,7 +253,7 @@ class TestRectangularSolve:
             now = sum(state.elim[r].bit_count() for r in range(6))
             assert now >= seen
             seen = now
-            assert not state.is_eliminated(truth)
+            assert not state.elim[truth[0]] >> truth[1] & 1
 
 
 class TestAdversaryMeetsBounds:
@@ -319,6 +342,31 @@ class TestDcEdgeSolve:
                 assert (sink, counter) == dc_edge_solve(_LinesByEdges(by_edge), m, n, sched)
                 assert sink == vm.argmin_vertex()
                 assert by_line.transcript == by_edge.transcript
+
+    @pytest.mark.parametrize("m,n,threshold,digest", [
+        (16, 16, 8, "6fad9ce81d4188364cceca0a81fcf7b08644a31fd1441426a1022556a274a38b"),
+        (16, 16, 1, "018fb54782f6758d8e8936ceef0dc937e89cbe40d7d2faeb221c04cbcba8a233"),
+        (27, 27, 8, "c95cb8ba45dc3da6caa84af5f70577159f9dfcab6cfd98fff4f9cb041d1493ad"),
+        (27, 27, 1, "a495c1f43bdbca0231bad3715dd589f2867e088f520fbbe2ac147213d87149f9"),
+        (20, 9, 8, "a2a3707bf61b4f1f3a2d96dced29ef68ab26595ede146a1e8301b57ecace5cb3"),
+        (20, 9, 1, "2a1447b1ead90c575e0d811455e7403eb62ff7ea80f227db0c6aa4ca88ae2896"),
+        (9, 20, 8, "af1b1be0cb73f0f7326693e56b7749600ebbd8190a73188d8ad69957e82773e7"),
+        (9, 20, 1, "2da1ad550f791d84af08aae28d407227da41df05623e15a04c308b818bb9d7a9"),
+        (33, 17, 8, "b70356c205f8fd8505d8e87ecb301dab05f79b2a73390cc2caf8d4c024af1fa0"),
+        (33, 17, 1, "771f4663eedabf3148db7864985706eabe95ca0f809da5037171455659c497f5"),
+    ], ids=[f"{s}-base{t}" for s in ("16x16", "27x27", "20x9", "9x20", "33x17") for t in (8, 1)])
+    def test_transcripts_frozen(self, m, n, threshold, digest):
+        # sha256 of the sink, counts and recorded edges for seeds 0-1, with
+        # the default base threshold (8) and with 1, frozen while padding and
+        # recursion were still two functions.
+        sched = KSchedule(base_threshold=threshold)
+        text = []
+        for seed in range(2):
+            o = edge_oracle(gen_one_line(m, n, seed))
+            sink, counter = dc_edge_solve(o, m, n, sched)
+            text.append(f"{sink} {counter.as_dict()}")
+            text += [f"{e} {head}" for _, e, head in o.transcript]
+        assert hashlib.sha256("\n".join(text).encode()).hexdigest() == digest
 
     def test_memory_grows_with_edges(self):
         # A 512x512 solve queries about 1.7e5 of its 1.3e8 edges.  One known
